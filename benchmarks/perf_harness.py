@@ -7,8 +7,9 @@ is the regression reference that :mod:`benchmarks.compare_bench` gates CI
 against.
 
 Wall times are not portable across machines, so each run also times a
-fixed single-core calibration workload (a GBR fit on synthetic data) and
-reports ``normalized_wall = wall / calibration``.  The CI gate compares
+fixed single-core calibration workload (a frozen NumPy kernel that
+imports nothing from ``repro``, so the yardstick never moves with the
+code under test) and reports ``normalized_wall = wall / calibration``.  The CI gate compares
 *normalized* serial walls, which cancels raw CPU speed; the measured
 multi-worker speedup is recorded for information (it depends on the
 runner's core count and is not gated).
@@ -56,16 +57,46 @@ BENCHES = [
 CAMPAIGN_COLD_CELL = ("df+", "valiant")
 
 
-def calibrate() -> float:
-    """Seconds for a fixed single-core GBR workload (machine speed unit)."""
-    from repro.ml.gbr import GradientBoostedRegressor
+def _calibration_kernel(x: np.ndarray, y: np.ndarray) -> float:
+    """Boosted decision stumps over rank-binned features, in raw NumPy.
 
+    Frozen: it imports nothing from ``repro``, so no change to the
+    program under test can move the yardstick every baseline divides
+    by.  It mixes the operations the pipeline spends its time in —
+    sorting, gathers, ``bincount`` histograms, cumulative scans,
+    elementwise arithmetic and small-array Python overhead.  Changing it
+    invalidates every file under ``benchmarks/baselines``.
+    """
+    n, h, nb = x.shape[0], x.shape[1], 64
+    codes = np.empty((n, h), dtype=np.intp)
+    ranks = (np.arange(n) * nb // n)[:, None]
+    codes[np.argsort(x, axis=0, kind="stable"), np.arange(h)] = ranks
+    keys = (codes.T + np.arange(h)[:, None] * nb).ravel()
+    cnt = np.cumsum(np.bincount(keys, minlength=h * nb).reshape(h, nb), axis=1)
+    resid = y - y.mean()
+    for _ in range(1000):
+        sm = np.bincount(keys, weights=np.tile(resid, h), minlength=h * nb)
+        c_sum = np.cumsum(sm.reshape(h, nb), axis=1)[:, :-1]
+        c_cnt = cnt[:, :-1]
+        gain = c_sum**2 / c_cnt + (resid.sum() - c_sum) ** 2 / (n - c_cnt)
+        f, b = np.unravel_index(int(np.argmax(gain)), gain.shape)
+        left = codes[:, f] <= b
+        resid = resid - 0.1 * np.where(left, resid[left].mean(), resid[~left].mean())
+    return float(np.abs(resid).sum())
+
+
+def calibrate() -> float:
+    """Seconds for a fixed single-core NumPy workload (machine speed
+    unit): the best of three runs of :func:`_calibration_kernel`."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(2000, 12))
     y = x[:, 0] - 2.0 * x[:, 5] + rng.normal(scale=0.1, size=2000)
-    t0 = time.perf_counter()
-    GradientBoostedRegressor(n_estimators=40, max_depth=3).fit(x, y)
-    return time.perf_counter() - t0
+    best = np.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _calibration_kernel(x, y)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def timed_run(name: str, campaign, fast: bool, workers: int) -> float:

@@ -58,7 +58,7 @@ class GradientBoostedRegressor:
     def fit_binned(
         self, binned: np.ndarray, y: np.ndarray, binner: Binner
     ) -> "GradientBoostedRegressor":
-        """Fit on pre-binned uint8 codes (the RFE nested-refit fast path).
+        """Fit on pre-binned uint8 codes (the RFE subset-fit fast path).
 
         ``binner`` must be the fitted binner that produced ``binned``
         (or a :meth:`Binner.subset` of one, with ``binned`` column-

@@ -125,7 +125,7 @@ class Pipeline:
             with span("ml.estimator.predict", estimator=est_name):
                 return self.estimator.predict(x)
 
-    # -- pre-binned fast path (RFE nested refits) ----------------------- #
+    # -- pre-binned fast path (RFE subset fits) ------------------------- #
 
     @property
     def supports_binned(self) -> bool:

@@ -11,16 +11,18 @@ Implementation: on each CV split, run the elimination path on the train
 fold, score every intermediate subset on the held-out fold, keep the
 best-scoring subset, and count feature membership across splits.
 
-Performance: the sweep fits O(H² · n_splits) boosted ensembles, and the
-folds are embarrassingly parallel — :func:`relevance_scores` fans them
-out over :mod:`repro.parallel` (``workers=`` / ``REPRO_WORKERS``), with
-results reduced in fold order so any worker count yields bit-identical
+Performance: with ``step=1`` each fold fits H boosted ensembles — the
+elimination path fits subsets H..2, and the nested-subset scoring reuses
+those models and fits only k=1 — so the sweep fits H · n_splits
+ensembles in all.  The folds are embarrassingly parallel —
+:func:`relevance_scores` fans them out over :mod:`repro.parallel`
+(``workers=`` / ``REPRO_WORKERS``), with results reduced in fold order
+so any worker count yields bit-identical
 ``scores``/``mapes``/``chosen_subsets``.  Inside each fold, the quantile
-:class:`~repro.ml.tree.Binner` is fitted once on the train fold and the
-O(H) nested-subset refits reuse its codes by column slicing (quantile
-edges are per-feature, so sliced codes are exactly what a per-subset
-refit would bin); the k=H nested fit doubles as the full-feature MAPE
-model instead of being fitted a third time.
+:class:`~repro.ml.tree.Binner` is fitted once on the train fold and
+every subset fit reuses its codes by column slicing (quantile edges are
+per-feature, so sliced codes are exactly what a per-subset refit would
+bin); the k=H model doubles as the full-feature MAPE model.
 """
 
 from __future__ import annotations
@@ -44,23 +46,41 @@ def default_estimator() -> GradientBoostedRegressor:
     return GradientBoostedRegressor(n_estimators=60, max_depth=3)
 
 
-def _binned_surface(est) -> "tuple[object, int] | None":
-    """(fit/predict-binned target, n_bins) when ``est`` supports the
-    pre-binned fast path, else None.
+def _binned_n_bins(est) -> "int | None":
+    """``n_bins`` when ``est`` supports the pre-binned fast path, else
+    None.
 
     A stepless :class:`~repro.ml.pipeline.Pipeline` qualifies through
     its passthrough (spans/counters preserved); a bare estimator
     qualifies when it exposes the binned surface and its bin count.
     """
     if getattr(est, "supports_binned", False):
-        return est, est.estimator.n_bins
+        return est.estimator.n_bins
     if (
         hasattr(est, "fit_binned")
         and hasattr(est, "predict_binned")
         and hasattr(est, "n_bins")
     ):
-        return est, est.n_bins
+        return est.n_bins
     return None
+
+
+def _fit_subset(
+    est: Estimator,
+    x: np.ndarray,
+    y: np.ndarray,
+    cols: list[int],
+    prebinned: "tuple[np.ndarray, Binner] | None",
+) -> Estimator:
+    """Fit ``est`` on columns ``cols``: from sliced codes when
+    ``prebinned`` is given and ``est`` has the binned surface, else on
+    ``x[:, cols]``."""
+    if prebinned is not None and _binned_n_bins(est) is not None:
+        codes, binner = prebinned
+        est.fit_binned(codes[:, cols], y, binner.subset(cols))
+    else:
+        est.fit(x[:, cols], y)
+    return est
 
 
 class RFE:
@@ -84,6 +104,9 @@ class RFE:
         self.ranking_: np.ndarray | None = None
         #: Elimination order, worst first.
         self.elimination_order_: list[int] = []
+        #: The model fitted at each path step, keyed by its (ascending)
+        #: feature subset.
+        self.subset_models_: dict[tuple[int, ...], Estimator] = {}
 
     def fit(
         self,
@@ -113,19 +136,14 @@ class RFE:
         h: int,
         prebinned: "tuple[np.ndarray, Binner] | None" = None,
     ) -> "RFE":
-        codes, binner = prebinned if prebinned is not None else (None, None)
         remaining = list(range(h))
         ranking = np.empty(h, dtype=np.int64)
         order: list[int] = []
+        models: dict[tuple[int, ...], Estimator] = {}
         rank = h
         while len(remaining) > 1:
-            est = self.estimator_factory()
-            surface = _binned_surface(est) if codes is not None else None
-            if surface is not None:
-                target, _ = surface
-                target.fit_binned(codes[:, remaining], y, binner.subset(remaining))
-            else:
-                est.fit(x[:, remaining], y)
+            est = _fit_subset(self.estimator_factory(), x, y, remaining, prebinned)
+            models[tuple(remaining)] = est
             imp = est.feature_importances_
             k = min(self.step, len(remaining) - 1)
             worst_local = np.argsort(imp)[:k]
@@ -139,6 +157,7 @@ class RFE:
         ranking[remaining[0]] = 1
         self.ranking_ = ranking
         self.elimination_order_ = order
+        self.subset_models_ = models
         return self
 
 
@@ -168,29 +187,35 @@ def _fold_relevance(
     off_te: "np.ndarray | None",
     estimator_factory: Callable[[], Estimator],
     fold: int,
+    step: int = 1,
 ) -> tuple[list[int], float]:
     """One CV fold: elimination path, nested-subset scoring, fold MAPE.
+
+    The nested subset of size k is the path's subset of size k: same
+    codes, binner subset, column order and fresh factory model.  So the
+    path's models are scored as they are, and only the sizes the path
+    skipped are fitted here — k=1 at ``step=1``, more when ``step > 1``.
+    This relies on ``estimator_factory()`` being deterministic (every
+    call yields an identically configured and seeded model), which
+    worker-count bit-identity already requires.
 
     Top-level so it pickles into pool workers; deterministic in its
     arguments, so the result is independent of which worker runs it.
     """
     with span("ml.rfe.fold", fold=fold):
         h = xtr.shape[1]
-        # Bin the fold once; every nested refit below column-slices these
-        # codes (per-feature quantile edges make that bit-identical to
+        # Bin the fold once; every subset fit column-slices these codes
+        # (per-feature quantile edges make that bit-identical to
         # re-binning the subset).  Falls back to plain fits when the
         # factory's estimators lack the binned surface.
         prebinned = None
-        codes_tr = codes_te = binner = None
-        surface = _binned_surface(estimator_factory())
-        if surface is not None:
-            _, n_bins = surface
+        n_bins = _binned_n_bins(estimator_factory())
+        if n_bins is not None:
             binner = Binner(n_bins).fit(xtr)
-            codes_tr = binner.transform(xtr)
             codes_te = binner.transform(xte)
-            prebinned = (codes_tr, binner)
+            prebinned = (binner.transform(xtr), binner)
         # Elimination path on the train fold.
-        rfe = RFE(estimator_factory)
+        rfe = RFE(estimator_factory, step=step)
         rfe.fit(xtr, ytr, prebinned=prebinned)
         ranking = rfe.ranking_
         # Score nested subsets on the held-out fold; keep the best.
@@ -199,23 +224,21 @@ def _fold_relevance(
         full_pred: np.ndarray | None = None
         for k in range(1, h + 1):
             subset = [f for f in range(h) if ranking[f] <= k]
-            est = estimator_factory()
-            surface = _binned_surface(est) if prebinned is not None else None
-            if surface is not None:
-                target, _ = surface
-                target.fit_binned(codes_tr[:, subset], ytr, binner.subset(subset))
-                pred = target.predict_binned(codes_te[:, subset])
+            est = rfe.subset_models_.get(tuple(subset))
+            if est is None:
+                est = _fit_subset(estimator_factory(), xtr, ytr, subset, prebinned)
+            if prebinned is not None:
+                pred = est.predict_binned(codes_te[:, subset])
             else:
-                est.fit(xtr[:, subset], ytr)
                 pred = est.predict(xte[:, subset])
             err = rmse(yte, pred)
             if err < best_err - 1e-12:
                 best_err = err
                 best_subset = subset
             if k == h:
-                # The k=H subset is every feature in order: this fit *is*
-                # the full-feature model — reuse its predictions for the
-                # reported MAPE instead of fitting a third time.
+                # The k=H subset is every feature in order: this model
+                # *is* the full-feature model — its predictions give the
+                # reported MAPE.
                 full_pred = pred
         if off_te is not None:
             truth = yte + off_te
@@ -252,7 +275,7 @@ def relevance_scores(
         the reported MAPE is on reconstructed absolute times.
     max_samples:
         Random subsample cap on the (NT) rows — the RFE sweep fits
-        O(H^2 * n_splits) boosted ensembles, and a few thousand samples
+        H * n_splits boosted ensembles, and a few thousand samples
         already pin the relevance ordering.  ``None`` disables.
     workers:
         CV folds are independent tasks fanned out over

@@ -1,10 +1,17 @@
 """Histogram-based decision-tree regression (the GBR base learner).
 
-Features are quantile-binned once (uint8 codes); split search per node is
-then a handful of ``bincount`` calls and cumulative scans per feature —
-the same design as LightGBM/sklearn's ``HistGradientBoosting``, scaled
-down.  Gradient boosting fits hundreds of trees per dataset, so this
-vectorisation is what keeps the Fig. 9 RFE sweep tractable.
+Features are quantile-binned once (uint8 codes); the split search at
+each node is then one flattened ``(feature, bin)`` histogram — two
+``bincount`` calls and a row-wise cumulative scan over all features at
+once — the same design as LightGBM/sklearn's ``HistGradientBoosting``,
+scaled down.  Gradient boosting fits hundreds of trees per dataset, so
+this vectorisation is what keeps the Fig. 9 RFE sweep tractable.
+
+The flattened search is bit-identical to scanning features one at a
+time: ``bincount`` adds weights in entry order (each bin's sum sees its
+rows in the same order), ``cumsum`` accumulates sequentially along its
+axis, and a first-max ``argmax`` per feature and then across features
+picks the same split as a strict-``>`` feature scan.
 """
 
 from __future__ import annotations
@@ -129,7 +136,20 @@ class DecisionTreeRegressor:
     def fit_binned(
         self, binned: np.ndarray, y: np.ndarray
     ) -> "DecisionTreeRegressor":
-        """Fit on pre-binned uint8 codes (ensemble fast path)."""
+        """Fit on pre-binned integer codes in ``[0, n_bins)`` (ensemble
+        fast path)."""
+        binned = np.asarray(binned)
+        y = np.asarray(y, dtype=np.float64).ravel()
+        if binned.ndim != 2 or len(binned) != len(y):
+            raise ValueError("binned must be (n, h) and y length-n")
+        nb = self.n_bins
+        if binned.size and (
+            not np.issubdtype(binned.dtype, np.integer)
+            or binned.min() < 0
+            or binned.max() >= nb
+        ):
+            # A stray code would land in the next feature's histogram.
+            raise ValueError(f"binned codes must be integers in [0, {nb})")
         n, h = binned.shape
         gains = np.zeros(h)
         self._feature, self._split_bin = [], []
@@ -143,10 +163,12 @@ class DecisionTreeRegressor:
             self._value.append(0.0)
             return len(self._value) - 1
 
+        # Feature-major histogram keys: row f holds f * nb + code.
+        keys = binned.T.astype(np.intp, order="C")
+        keys += np.arange(h, dtype=np.intp)[:, None] * nb
         root = new_node()
         stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
         min_leaf = self.min_samples_leaf
-        nb = self.n_bins
 
         while stack:
             node, idx, depth = stack.pop()
@@ -154,38 +176,34 @@ class DecisionTreeRegressor:
             total = ys.sum()
             count = len(idx)
             self._value[node] = total / count
-            if depth >= self.max_depth or count < 2 * min_leaf:
+            if depth >= self.max_depth or count < 2 * min_leaf or h == 0:
                 continue
             base = total * total / count
-            best_gain = 1e-12
-            best_f = -1
-            best_bin = -1
-            sub = binned[idx]
-            for f in range(h):
-                codes = sub[:, f]
-                cnt = np.bincount(codes, minlength=nb).astype(np.float64)
-                sm = np.bincount(codes, weights=ys, minlength=nb)
-                c_cnt = np.cumsum(cnt)[:-1]
-                c_sum = np.cumsum(sm)[:-1]
-                n_r = count - c_cnt
-                valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
-                if not valid.any():
-                    continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    gain = (
-                        c_sum**2 / np.maximum(c_cnt, 1)
-                        + (total - c_sum) ** 2 / np.maximum(n_r, 1)
-                        - base
-                    )
-                gain[~valid] = -np.inf
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best_f = f
-                    best_bin = b
-            if best_f < 0:
+            flat = np.take(keys, idx, axis=1).ravel()
+            cnt = np.bincount(flat, minlength=h * nb).astype(np.float64)
+            sm = np.bincount(flat, weights=np.tile(ys, h), minlength=h * nb)
+            c_cnt = np.cumsum(cnt.reshape(h, nb), axis=1)[:, :-1]
+            c_sum = np.cumsum(sm.reshape(h, nb), axis=1)[:, :-1]
+            n_r = count - c_cnt
+            valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = (
+                    c_sum**2 / np.maximum(c_cnt, 1)
+                    + (total - c_sum) ** 2 / np.maximum(n_r, 1)
+                    - base
+                )
+            gain[~valid] = -np.inf
+            # First-max bin per feature, then the first feature whose
+            # best gain is largest and exceeds the split threshold.
+            bins = np.argmax(gain, axis=1)
+            best = gain[np.arange(h), bins]
+            best = np.where(best > 1e-12, best, -np.inf)
+            best_f = int(np.argmax(best))
+            if best[best_f] == -np.inf:
                 continue
-            go_left = sub[:, best_f] <= best_bin
+            best_gain = float(best[best_f])
+            best_bin = int(bins[best_f])
+            go_left = binned[idx, best_f] <= best_bin
             li, ri = idx[go_left], idx[~go_left]
             gains[best_f] += best_gain
             self._feature[node] = best_f

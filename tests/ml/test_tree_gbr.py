@@ -120,6 +120,39 @@ def test_tree_validation():
         t.predict(np.ones((3, 2)))  # fitted on binned data, no binner
 
 
+def test_tree_fit_binned_rejects_bad_codes():
+    y = np.ones(10)
+    tree = DecisionTreeRegressor(n_bins=4)
+    codes = np.zeros((10, 2), dtype=np.uint8)
+    codes[3, 0] = 4  # one past the last bin: would alias feature 1's bin 0
+    with pytest.raises(ValueError, match="codes"):
+        tree.fit_binned(codes, y)
+    with pytest.raises(ValueError, match="codes"):
+        tree.fit_binned(-np.ones((10, 2), dtype=np.int64), y)
+    with pytest.raises(ValueError, match="codes"):
+        tree.fit_binned(np.full((10, 2), 0.5), y)
+
+
+def test_tree_fit_binned_rejects_bad_shapes():
+    tree = DecisionTreeRegressor()
+    with pytest.raises(ValueError):
+        tree.fit_binned(np.zeros(10, dtype=np.uint8), np.ones(10))
+    with pytest.raises(ValueError):
+        tree.fit_binned(np.zeros((10, 2, 1), dtype=np.uint8), np.ones(10))
+    with pytest.raises(ValueError):
+        tree.fit_binned(np.zeros((10, 2), dtype=np.uint8), np.ones(9))
+
+
+def test_tree_fit_binned_without_features_is_a_leaf():
+    y = np.arange(10, dtype=float)
+    tree = DecisionTreeRegressor().fit_binned(np.zeros((10, 0), dtype=np.uint8), y)
+    assert tree.node_count == 1
+    assert tree.feature_importances_.shape == (0,)
+    np.testing.assert_array_equal(
+        tree.predict_binned(np.zeros((3, 0), dtype=np.uint8)), 4.5
+    )
+
+
 # --------------------------------------------------------------------- #
 # GBR
 # --------------------------------------------------------------------- #
