@@ -101,10 +101,6 @@ def dataset_top_users(ds: RunDataset, top_k: int, tau: float) -> list[str]:
     return analyze_neighborhood(ds, tau=tau).top_users(top_k)
 
 
-#: Backwards-compatible alias (pre-DAG pool task name).
-_dataset_top_users = dataset_top_users
-
-
 def merge_user_lists(
     per_dataset: dict[str, list[str]], min_lists: int = 2
 ) -> dict[str, list[str]]:

@@ -16,9 +16,9 @@ Performance design (the campaign solves ~40k network states):
 * background link loads change only at job start/end events, so a single
   chronological sweep maintains an additive :class:`BaseLoad` accumulator
   (O(#links) per event);
-* each probe run's routing geometry is built once; a step solve is then
-  O(#links) vector work plus two ``maximum.reduceat`` passes for the
-  UGAL split — a few milliseconds each;
+* each probe run's routing geometry is built once; its steps are then
+  solved in blocks — ``(steps, links)`` vector work plus
+  ``maximum.reduceat`` passes for the UGAL split;
 * everything *outside* the chronological sweep — per-job traffic routing
   and every probe run's step solves — fans out over a process pool (see
   :mod:`repro.campaign.parallel`); ``CampaignConfig.workers`` /
@@ -53,7 +53,6 @@ from repro.config import (
 from repro.network.engine import (
     BaseLoad,
     CongestionEngine,
-    NetworkState,
     slowdown_curve,
 )
 from repro.obs import METRICS, annotate, event, get_logger
@@ -245,7 +244,7 @@ class CampaignConfig:
 
 
 # --------------------------------------------------------------------------- #
-# Fast per-step probe solver
+# Batched probe solver
 # --------------------------------------------------------------------------- #
 
 
@@ -285,21 +284,13 @@ class _SegMax:
             self.seg_flows = np.empty(0, dtype=np.int64)
         self.n_flows = n_flows
 
-    def __call__(self, per_link: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_flows)
-        if len(self.link):
-            out[self.seg_flows] = np.maximum.reduceat(
-                per_link[self.link], self.seg_starts
-            )
-        return out
-
     def block(self, per_link: np.ndarray) -> np.ndarray:
-        """Batched :meth:`__call__`: ``(steps, links)`` -> ``(steps, flows)``.
+        """``(steps, links)`` -> ``(steps, flows)`` per-flow maxima.
 
         One axis-1 gather plus one ``maximum.reduceat`` along axis 1.
-        ``maximum`` is an exact reduction (no rounding), so the batched
-        rows are bit-identical to per-step calls regardless of how the
-        reduction is ordered internally.
+        ``maximum`` is an exact reduction (no rounding), so each row is
+        bit-identical to reducing that step's ``(links,)`` vector alone,
+        regardless of how the reduction is ordered internally.
         """
         out = np.zeros((per_link.shape[0], self.n_flows))
         if len(self.link):
@@ -370,61 +361,10 @@ class ProbeRunContext:
             vc4=self.vc4_unit.copy(),
         )
 
-    def solve_step(
-        self, base: BaseLoad, intensity: float
-    ) -> tuple[NetworkState, float, float]:
-        """Solve one step: returns (state, fabric_slowdown, endpoint_slowdown)."""
-        topo = self.topology
-        eng = self.engine
-        cap = topo.link_capacity
-        s = intensity
-        a0 = eng.alpha0
-
-        loads0 = base.link_loads + s * (a0 * self.load_min + (1 - a0) * self.load_val)
-        util0 = loads0 / cap
-        u_min = np.maximum(
-            self.seg_min_edge(util0), MID_HOP_DISCOUNT * self.seg_min_mid(util0)
-        )
-        u_val = np.maximum(
-            self.seg_val_edge(util0), MID_HOP_DISCOUNT * self.seg_val_mid(util0)
-        )
-        if eng.pinned:
-            # Pinned policies fix the split exactly (the UGAL clip band
-            # must not pull a pure-minimal/pure-Valiant split inward).
-            alpha_f = np.full(len(u_min), a0)
-        else:
-            alpha_f = np.clip(a0 + eng.ugal_gain * (u_val - u_min), 0.25, 0.98)
-        a = float(alpha_f @ self.vol_weights) if len(alpha_f) else a0
-
-        loads = base.link_loads + s * (a * self.load_min + (1 - a) * self.load_val)
-        state = NetworkState(
-            topology=topo,
-            link_loads=loads,
-            inj=base.inj + s * self.inj_unit,
-            ej=base.ej + s * self.ej_unit,
-            vc4=base.vc4 + s * self.vc4_unit,
-        )
-        path_util = alpha_f * u_min + (1.0 - alpha_f) * u_val
-        fabric = slowdown_curve(path_util)
-        nic_util = state.nic_util
-        if len(self.flows):
-            ep_util = np.maximum(
-                nic_util[self.flows.src], nic_util[self.flows.dst]
-            )
-        else:
-            ep_util = np.empty(0)
-        endpoint = slowdown_curve(ep_util)
-        w = self.vol_weights
-        return (
-            state,
-            float(fabric @ w) if len(w) else 1.0,
-            float(endpoint @ w) if len(w) else 1.0,
-        )
-
     def solve_steps(
         self, base: BaseLoad, intensities: np.ndarray
     ) -> tuple[np.ndarray, ...]:
-        """Solve a block of steps in one pass (batched :meth:`solve_step`).
+        """Solve a block of steps in one pass.
 
         ``base`` carries the per-step background stacked as
         ``(steps, links)`` / ``(steps, routers)`` arrays; ``intensities``
@@ -432,8 +372,8 @@ class ProbeRunContext:
         ej, vc4, fabric, endpoint)``: the solved per-step state arrays
         plus the per-step volume-weighted slowdown scalars.
 
-        Bit-identical to calling :meth:`solve_step` per step: every
-        batched operation is either elementwise/broadcast (same scalar
+        Bit-identical to solving each step alone: every batched
+        operation is either elementwise/broadcast (same scalar
         arithmetic per element), an exact ``maximum`` reduction
         (:meth:`_SegMax.block`), or an explicitly per-row 1-D dot —
         2-D matmul is avoided because BLAS gemv/gemm reorder the
@@ -450,7 +390,7 @@ class ProbeRunContext:
 
         # a0 and the fixed path-set vectors are step-invariant, so the
         # first-pass mix is computed once for the block (same expression,
-        # same value, as the per-step form).
+        # same value, as a one-step solve).
         mix0 = a0 * self.load_min + (1 - a0) * self.load_val
         loads0 = base.link_loads + s * mix0
         util0 = loads0 / cap
@@ -463,6 +403,8 @@ class ProbeRunContext:
             MID_HOP_DISCOUNT * self.seg_val_mid.block(util0),
         )
         if eng.pinned:
+            # Pinned policies fix the split exactly (the UGAL clip band
+            # must not pull a pure-minimal/pure-Valiant split inward).
             alpha_f = np.full(u_min.shape, a0)
         else:
             alpha_f = np.clip(a0 + eng.ugal_gain * (u_val - u_min), 0.25, 0.98)
@@ -488,7 +430,7 @@ class ProbeRunContext:
             # Axis-1 advanced indexing yields a Fortran-ordered array;
             # force C order so each row below is a contiguous vector —
             # the strided-row dot kernel rounds differently from the
-            # contiguous one the per-step path uses.
+            # contiguous one a one-step solve uses.
             ep_util = np.ascontiguousarray(
                 np.maximum(
                     nic_util[:, self.flows.src], nic_util[:, self.flows.dst]
@@ -584,65 +526,22 @@ class BackgroundTrafficModel:
                     node_weights=node_weights,
                 )
             )
-        # Filesystem traffic is built separately (see contribution_for())
-        # so the timeline can modulate it with the bursty I/O weather.
+        # Filesystem traffic is built separately (see
+        # contributions_for_batch()) so the timeline can modulate it with
+        # the bursty I/O weather.
         return FlowSet.concat(parts)
 
-    def _solve_static(self, flows: FlowSet) -> BaseLoad:
-        routed = self.engine.route(flows)
-        a0 = self.engine.alpha0
-        loads = routed.routing.link_loads(
-            flows.volume, a0, self.topology.num_links
-        )
-        r = self.topology.num_routers
-        if len(flows):
-            inj = np.bincount(flows.src, weights=flows.volume, minlength=r)
-            ej = np.bincount(flows.dst, weights=flows.volume, minlength=r)
-            vc4 = inj * flows.response_ratio
-        else:
-            inj = np.zeros(r)
-            ej = np.zeros(r)
-            vc4 = np.zeros(r)
-        return BaseLoad(link_loads=loads, inj=inj, ej=ej, vc4=vc4)
-
-    def contribution_for(
-        self, job_id: int, user: str, nodes: np.ndarray
-    ) -> tuple[BaseLoad, BaseLoad]:
-        """(steady communication, filesystem) contributions of one job.
-
-        The I/O part is kept separate so the timeline can modulate it with
-        the bursty filesystem "weather" (see :class:`IOWeather`).  Takes
-        plain fields rather than a :class:`JobRecord` so worker processes
-        receive slim, picklable specs.
-        """
-        comm = self._solve_static(self.flows_for(job_id, user, nodes))
-        arch = self.population.by_name(user)
-        if arch.io_intensity > 0:
-            io = self._solve_static(
-                io_flows(
-                    self.topology,
-                    nodes,
-                    bytes_per_sec=arch.io_intensity * len(nodes) * self.intensity,
-                )
-            )
-        else:
-            io = BaseLoad.zeros(self.topology)
-        return comm, io
-
-    def contribution(self, job: JobRecord) -> tuple[BaseLoad, BaseLoad]:
-        """Convenience wrapper over :meth:`contribution_for`."""
-        return self.contribution_for(job.job_id, job.user, job.nodes)
-
     def _solve_static_batch(self, flow_sets: list[FlowSet]) -> list[BaseLoad]:
-        """Map :meth:`_solve_static` over many flow sets in one pass.
+        """Route and bin-sum many flow sets in one pass: one static
+        ``BaseLoad`` (at the engine's base UGAL split) per set.
 
-        Bit-identical to the per-set loop by construction: the router's
-        deterministic samplers key on ``(src, dst)`` and the per-set flow
-        index (restored via ``flow_ids``), never on position within the
-        call, so the concatenated routing emits each flow's solo links.
-        Per-``(set, link)`` bincount keys then preserve each set's
-        accumulation order — entries for different sets land in different
-        bins, so every bin sums the exact solo sequence.
+        Each set's result is bit-identical to solving that set alone: the
+        router's deterministic samplers key on ``(src, dst)`` and the
+        per-set flow index (restored via ``flow_ids``), never on position
+        within the call, so the concatenated routing emits each flow's
+        solo links.  Per-``(set, link)`` bincount keys then preserve each
+        set's accumulation order — entries for different sets land in
+        different bins, so every bin sums the exact solo sequence.
         """
         topo = self.topology
         n_sets = len(flow_sets)
@@ -689,12 +588,16 @@ class BackgroundTrafficModel:
     def contributions_for_batch(
         self, specs: list[tuple[int, str, np.ndarray]]
     ) -> list[tuple[BaseLoad, BaseLoad]]:
-        """Batched :meth:`contribution_for` over ``(job_id, user, nodes)``.
+        """(steady communication, filesystem) contributions per
+        ``(job_id, user, nodes)`` spec.
 
-        Builds every job's flow geometry, then routes and bin-sums all of
-        them in two :meth:`_solve_static_batch` passes (communication and
-        filesystem) instead of two small routing calls per job — the cold
-        campaign path hands each worker its whole chunk at once.
+        The I/O part is kept separate so the timeline can modulate it with
+        the bursty filesystem "weather" (see :class:`IOWeather`).  Specs
+        are plain fields rather than :class:`JobRecord` objects so worker
+        processes receive slim, picklable tasks.  Builds every job's flow
+        geometry, then routes and bin-sums all of them in two
+        :meth:`_solve_static_batch` passes (communication and filesystem)
+        — the cold campaign path hands each worker its whole chunk at once.
         """
         comm_sets = [
             self.flows_for(job_id, user, nodes)
@@ -1207,7 +1110,9 @@ class CampaignRunner:
                 for job_id, comm, io in pool.result(f):
                     store.insert(job_id, comm, io)
             if not store.has(job.job_id):  # pragma: no cover - defensive
-                comm, io = env.bg_model.contribution(job)
+                [(comm, io)] = env.bg_model.contributions_for_batch(
+                    [(job.job_id, job.user, job.nodes)]
+                )
                 store.insert(job.job_id, comm, io)
 
         store = _ContributionStore(self.topology, _load_bg_batch)

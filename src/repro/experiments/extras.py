@@ -340,44 +340,3 @@ def build_sysforecast(g: Graph, ctx, exp_id: str = "extra-sysforecast") -> str:
         kind="render",
         local=True,
     )
-
-
-# --------------------------------------------------------------------------- #
-# Pre-DAG entry points (kept for API compatibility).
-# --------------------------------------------------------------------------- #
-
-
-def run_comm(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-comm", campaign=campaign, fast=fast)
-
-
-def run_routing(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-routing", campaign=campaign, fast=fast)
-
-
-def run_whatif(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-whatif", campaign=campaign, fast=fast)
-
-
-def run_placement(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-placement", campaign=campaign, fast=fast)
-
-
-def run_contention(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-contention", campaign=campaign, fast=fast)
-
-
-def run_sysforecast(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("extra-sysforecast", campaign=campaign, fast=fast)

@@ -337,34 +337,3 @@ def counters_to_matrix(
     return np.stack(
         [np.asarray(router_rates[n], dtype=np.float64) for n in names]
     )
-
-
-def aggregate_counters(
-    router_rates: dict[str, np.ndarray],
-    routers: np.ndarray,
-    duration: float,
-    rng: np.random.Generator | None = None,
-    noise: float = 0.02,
-) -> dict[str, float]:
-    """Sum per-router rates over ``routers`` and integrate over ``duration``.
-
-    ``noise`` adds a small multiplicative measurement jitter (counter
-    sampling on Aries is not perfectly aligned with step boundaries).
-    """
-    routers = np.asarray(routers)
-    names = list(router_rates)
-    matrix = counters_to_matrix(router_rates, names)
-    out: dict[str, float] = {}
-    for i, name in enumerate(names):
-        # Per-row 1-D sums: identical accumulation order to summing the
-        # per-name vectors directly.
-        value = float(matrix[i][routers].sum()) * duration
-        if rng is not None and noise > 0:
-            value *= float(rng.lognormal(mean=0.0, sigma=noise))
-        out[name] = value
-    return out
-
-
-def counters_to_vector(counters: dict[str, float], names: list[str]) -> np.ndarray:
-    """Order a counter dict into a feature vector by ``names``."""
-    return counters_to_matrix(counters, names)

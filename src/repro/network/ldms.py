@@ -11,15 +11,13 @@ from it for the forecasting ablations (§V-C):
     Counters aggregated over routers sharing *no* nodes with our job — a
     proxy for everything else happening on the machine.
 
-This sampler produces exactly those aggregates from a solved network state.
+This sampler produces exactly those aggregates from per-router counter rates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.network.counters import synthesize_router_counters
-from repro.network.engine import NetworkState
 from repro.topology.dragonfly import DragonflyTopology
 
 
@@ -29,52 +27,6 @@ class LDMSSampler:
     def __init__(self, topology: DragonflyTopology) -> None:
         self.topology = topology
 
-    def sample(
-        self,
-        state: NetworkState,
-        job_routers: np.ndarray,
-        duration: float,
-        rng: np.random.Generator | None = None,
-        noise: float = 0.02,
-        router_rates: dict[str, np.ndarray] | None = None,
-    ) -> dict[str, float]:
-        """io/sys counter deltas for one interval.
-
-        Parameters
-        ----------
-        state:
-            Solved network condition for the interval.
-        job_routers:
-            Routers attached to *our* job's nodes (excluded from ``sys``).
-        duration:
-            Interval length in seconds.
-        rng, noise:
-            Optional multiplicative measurement jitter.
-        router_rates:
-            Pre-synthesised per-router rates (pass to avoid recomputing
-            when the caller also collects job-local counters).
-        """
-        topo = self.topology
-        if router_rates is None:
-            router_rates = synthesize_router_counters(state)
-
-        io_mask = topo.io_router_mask
-        sys_mask = np.ones(topo.num_routers, dtype=bool)
-        sys_mask[np.asarray(job_routers)] = False
-        sys_mask &= ~io_mask  # io routers are reported in the io group
-
-        out: dict[str, float] = {}
-        for short in ("RT_FLIT_TOT", "RT_RB_STL", "PT_FLIT_TOT", "PT_PKT_TOT"):
-            rates = router_rates[short]
-            io_val = float(rates[io_mask].sum()) * duration
-            sys_val = float(rates[sys_mask].sum()) * duration
-            if rng is not None and noise > 0:
-                io_val *= float(rng.lognormal(0.0, noise))
-                sys_val *= float(rng.lognormal(0.0, noise))
-            out[f"IO_{short}"] = io_val
-            out[f"SYS_{short}"] = sys_val
-        return out
-
     def sample_steps(
         self,
         job_routers: np.ndarray,
@@ -83,14 +35,22 @@ class LDMSSampler:
         router_rates: dict[str, np.ndarray],
         noise: float = 0.02,
     ) -> list[dict[str, float]]:
-        """Batched :meth:`sample` over a block of steps.
+        """io/sys counter deltas for a block of intervals.
 
-        ``router_rates`` maps counter names to ``(steps, routers)`` rate
-        matrices; ``durations`` holds one interval length per step and
-        ``rngs`` one generator per step (``rng_for("ldms", job, step)``,
-        or ``None`` for no jitter).  Bit-identical to calling
-        :meth:`sample` step by step: the role masks depend only on the
-        placement so they are hoisted out of the loop, each masked sum
+        Parameters
+        ----------
+        job_routers:
+            Routers attached to *our* job's nodes (excluded from ``sys``).
+        durations:
+            One interval length in seconds per step.
+        rngs, noise:
+            One generator per step (``rng_for("ldms", job, step)``), or
+            ``None``, for an optional multiplicative measurement jitter.
+        router_rates:
+            Counter names mapped to ``(steps, routers)`` rate matrices.
+
+        Bit-identical to sampling step by step: the role masks depend
+        only on the placement so they are computed once, each masked sum
         reduces the same row values in the same order, and each step's
         generator draws the same eight lognormals in the same order.
         """

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.network.counters import (
-    APP_COUNTERS,
-    aggregate_counters,
-    counters_to_matrix,
-    synthesize_router_counters,
-)
-from repro.network.engine import NetworkState
+from repro.network.counters import APP_COUNTERS, counters_to_matrix
 from repro.topology.dragonfly import DragonflyTopology
 
 
@@ -52,43 +46,27 @@ class AriesNCL:
         self.noise = noise
         self._steps: list[StepCounters] = []
 
-    def record_step(
-        self,
-        step: int,
-        state: NetworkState,
-        duration: float,
-        router_rates: dict[str, np.ndarray] | None = None,
-    ) -> StepCounters:
-        """Read counters for one step from the solved network state."""
-        if router_rates is None:
-            router_rates = synthesize_router_counters(state)
-        values = aggregate_counters(
-            router_rates,
-            self.job_routers,
-            duration,
-            rng=self.rng,
-            noise=self.noise,
-        )
-        sc = StepCounters(step=step, duration=duration, values=values)
-        self._steps.append(sc)
-        return sc
-
     def record_steps(
         self,
         steps: list[int],
         durations: list[float],
         router_rates: dict[str, np.ndarray],
     ) -> list[StepCounters]:
-        """Batched :meth:`record_step` over a block of steps.
+        """Read counters for a block of steps.
 
         ``router_rates`` maps counter names to ``(steps, routers)`` rate
-        matrices.  Bit-identical to recording step by step: each
-        step/counter value is a per-row 1-D sum over the job routers
-        (same accumulation order as ``aggregate_counters``), and the
-        measurement jitter is drawn from ``self.rng`` as one step-major
-        batch — numpy's sized ``lognormal`` consumes the stream exactly
-        like the per-step scalar draws, in the same (step, counter)
-        order.
+        matrices; ``durations`` holds one step length per step.  Each
+        step/counter value sums the rates over the job routers and
+        integrates over the step.  With an ``rng`` and ``noise > 0``,
+        each value gets a multiplicative lognormal measurement jitter
+        (counter reads on Aries are not perfectly aligned with step
+        boundaries).
+
+        Bit-identical to recording step by step: each value is a per-row
+        1-D sum over the job routers, and the jitter is drawn from
+        ``self.rng`` as one step-major batch — numpy's sized
+        ``lognormal`` consumes the stream exactly like per-step scalar
+        draws, in the same (step, counter) order.
         """
         names = list(router_rates)
         matrix = counters_to_matrix(router_rates, names)  # (13, B, R)

@@ -11,9 +11,12 @@ failure mode: a dying worker must surface as a clean
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.campaign import parallel as par
 from repro.campaign.parallel import CampaignWorkerError, chunked
 from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.config import resolve_workers
@@ -61,19 +64,20 @@ def test_env_override_bit_identical(serial_campaign, monkeypatch):
     _assert_identical(serial_campaign, parallel)
 
 
+def _crash_solve(tasks, windows):
+    """Stand-in solve task: the worker process dies hard mid-solve.
+
+    Top-level so it pickles by reference; workers fork after the patch,
+    so they resolve it in the already-imported test module.
+    """
+    os._exit(17)
+
+
 def test_worker_crash_is_clean_error(monkeypatch):
     """A worker dying mid-solve raises CampaignWorkerError, not a hang."""
-    monkeypatch.setenv("REPRO_TEST_WORKER_CRASH", "1")
+    monkeypatch.setattr(par, "_task_solve_runs", _crash_solve)
     with pytest.raises(CampaignWorkerError):
         CampaignRunner(_cfg(workers=2)).run()
-
-
-def test_crash_hook_ignored_in_process(monkeypatch):
-    """The crash hook only fires in subprocess workers: workers=1 is the
-    in-process reference path and must be unaffected."""
-    monkeypatch.setenv("REPRO_TEST_WORKER_CRASH", "1")
-    camp = CampaignRunner(_cfg(workers=1)).run()
-    assert len(camp["MILC-128"]) >= 1
 
 
 def test_workers_not_in_fingerprint():

@@ -15,13 +15,14 @@ import pytest
 
 from repro.analysis.deviation import deviation_analysis
 from repro.analysis.forecasting import forecast_mape
-from repro.features import STATS, TIERS, build_windows, get_store
+from repro.features import TIERS, build_windows, get_store
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.metrics import mape
 from repro.ml.model_selection import GroupKFold
 from repro.ml.pipeline import make_forecaster
 from repro.ml.rfe import relevance_scores
 from repro.network.counters import APP_COUNTERS
+from tests.features.test_store import _counts
 
 
 def _fast_gbr():
@@ -142,11 +143,11 @@ def test_warm_experiment_pass_rebuilds_nothing(tiny_campaign, monkeypatch):
     figs = (fig09_relevance, fig10_forecast_milc, fig11_importances, fig12_longrun)
     for fig in figs:
         fig.run(campaign=tiny_campaign, fast=True)
-    cold = STATS.snapshot()
+    cold = _counts()
 
     for fig in figs:
         fig.run(campaign=tiny_campaign, fast=True)
-    warm = STATS.snapshot()
+    warm = _counts()
 
     assert warm[2] == cold[2], "warm pass recomputed features"
     assert warm[1] == cold[1], "warm pass went back to disk"

@@ -8,7 +8,6 @@ import pytest
 from repro.campaign.datasets import RunDataset, RunRecord
 from repro.features import (
     LDMS_SPEC,
-    STATS,
     TIERS,
     FeatureSpec,
     FeatureStore,
@@ -16,6 +15,15 @@ from repro.features import (
     clear_feature_caches,
     get_store,
 )
+from repro.obs import METRICS
+
+
+def _counts() -> tuple[int, int, int]:
+    """(memo hits, disk hits, misses) of the feature-cache counters."""
+    return tuple(
+        METRICS.counter(f"features.cache.{name}").value
+        for name in ("hits", "disk_hits", "misses")
+    )
 
 
 def _dataset(key="SYN-64", n=6, t=12, seed=0):
@@ -45,9 +53,9 @@ def _dataset(key="SYN-64", n=6, t=12, seed=0):
 def _isolated_cache(monkeypatch, tmp_path):
     """Point disk persistence at a throwaway dir and reset the counters."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    STATS.reset()
+    METRICS.reset()
     yield tmp_path
-    STATS.reset()
+    METRICS.reset()
 
 
 # --------------------------------------------------------------------- #
@@ -58,9 +66,9 @@ def _isolated_cache(monkeypatch, tmp_path):
 def test_memo_hit_after_first_build():
     store = get_store(_dataset())
     a = store.features("app")
-    assert STATS.snapshot() == (0, 0, 1)
+    assert _counts() == (0, 0, 1)
     b = store.features("app")
-    assert STATS.snapshot() == (1, 0, 1)
+    assert _counts() == (1, 0, 1)
     assert a is b
 
 
@@ -88,9 +96,9 @@ def test_aliased_spec_shares_cache_entry():
     assert alias.token == TIERS["app+placement"].token
     store = get_store(_dataset())
     store.features("app+placement")
-    misses = STATS.misses
+    misses = _counts()[2]
     store.features(alias)
-    assert STATS.misses == misses  # served from the same memo entry
+    assert _counts()[2] == misses  # served from the same memo entry
 
 
 def test_unknown_tier_raises():
@@ -104,8 +112,9 @@ def test_clear_feature_caches_drops_memo():
     clear_feature_caches()
     store.features("app")
     # Second build is not a memo hit: disk hit (persisted) or rebuild.
-    assert STATS.hits == 0
-    assert STATS.disk_hits + STATS.misses == 2
+    hits, disk_hits, misses = _counts()
+    assert hits == 0
+    assert disk_hits + misses == 2
 
 
 # --------------------------------------------------------------------- #
@@ -116,14 +125,14 @@ def test_clear_feature_caches_drops_memo():
 def test_disk_roundtrip_across_objects(_isolated_cache):
     a = _dataset()
     ref = get_store(a).features("app")
-    assert STATS.snapshot() == (0, 0, 1)
+    assert _counts() == (0, 0, 1)
     entries = list(_isolated_cache.rglob("tier-app.npz"))
     assert len(entries) == 1
 
     # A distinct object with identical content hits the disk entry.
     b = _dataset()
     got = get_store(b).features("app")
-    assert STATS.snapshot() == (0, 1, 1)
+    assert _counts() == (0, 1, 1)
     assert np.array_equal(got, ref)
 
 
@@ -150,7 +159,7 @@ def test_corrupt_entry_warns_and_regenerates(_isolated_cache):
     with pytest.warns(RuntimeWarning, match="corrupt feature cache entry"):
         got = get_store(_dataset()).features("app")
     assert np.array_equal(got, ref)
-    assert STATS.disk_hits == 0 and STATS.misses == 2
+    assert _counts()[1:] == (0, 2)
     # The regenerated entry is valid again.
     with np.load(entry) as npz:
         assert np.array_equal(npz["x"], ref)
@@ -220,7 +229,7 @@ def test_window_params_validated_before_cache():
         store.windows("app", m=4, k=2, align_m=2)  # align_m < m
     with pytest.raises(ValueError):
         store.windows("app", m=0, k=1)
-    assert STATS.total == 0  # nothing was built or cached
+    assert _counts() == (0, 0, 0)  # nothing was built or cached
 
 
 def test_single_run_dataset_windows():

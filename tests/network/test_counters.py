@@ -12,14 +12,13 @@ from repro.network.counters import (
     IO_COUNTERS,
     PLACEMENT_FEATURES,
     SYS_COUNTERS,
-    aggregate_counters,
     counters_to_matrix,
-    counters_to_vector,
     forecast_feature_names,
     spec_by_abbreviation,
     synthesize_router_counters,
 )
 from repro.network.traffic import router_alltoall_flows
+from repro.telemetry.ariesncl import AriesNCL
 
 
 @pytest.fixture(scope="module")
@@ -106,29 +105,37 @@ def test_stall_counters_rise_with_load(tiny_topo):
     assert stall_ratio > flit_ratio
 
 
-def test_aggregate_counters_integrates_duration(busy_state):
-    rates = synthesize_router_counters(busy_state)
-    routers = np.arange(5)
-    one = aggregate_counters(rates, routers, duration=1.0)
-    ten = aggregate_counters(rates, routers, duration=10.0)
+def _aggregate(tiny_topo, state, duration, rng=None, noise=0.0):
+    """Job-router counter deltas for one step, via a one-row
+    ``AriesNCL.record_steps`` block over routers 0-4."""
+    rates = {k: v[None] for k, v in synthesize_router_counters(state).items()}
+    ncl = AriesNCL(tiny_topo, np.arange(5), rng=rng, noise=noise)
+    [sc] = ncl.record_steps([0], [duration], rates)
+    return sc.values
+
+
+def test_aggregate_counters_integrates_duration(busy_state, tiny_topo):
+    one = _aggregate(tiny_topo, busy_state, duration=1.0)
+    ten = _aggregate(tiny_topo, busy_state, duration=10.0)
     for name in APP_COUNTERS:
         assert ten[name] == pytest.approx(10 * one[name])
 
 
-def test_aggregate_counters_noise_reproducible(busy_state):
-    rates = synthesize_router_counters(busy_state)
-    routers = np.arange(5)
-    a = aggregate_counters(rates, routers, 1.0, rng=rng_for("agg"), noise=0.05)
-    b = aggregate_counters(rates, routers, 1.0, rng=rng_for("agg"), noise=0.05)
+def test_aggregate_counters_noise_reproducible(busy_state, tiny_topo):
+    a = _aggregate(tiny_topo, busy_state, 1.0, rng=rng_for("agg"), noise=0.05)
+    b = _aggregate(tiny_topo, busy_state, 1.0, rng=rng_for("agg"), noise=0.05)
     assert a == b
-    c = aggregate_counters(rates, routers, 1.0, rng=rng_for("other"), noise=0.05)
+    c = _aggregate(tiny_topo, busy_state, 1.0, rng=rng_for("other"), noise=0.05)
     assert any(a[k] != c[k] for k in a)
 
 
 def test_counters_to_vector_order():
+    # Scalar counters -> a feature vector laid out in ``names`` order.
     d = {n: float(i) for i, n in enumerate(APP_COUNTERS)}
-    v = counters_to_vector(d, APP_COUNTERS)
+    v = counters_to_matrix(d, APP_COUNTERS)
     np.testing.assert_array_equal(v, np.arange(13.0))
+    rev = counters_to_matrix(d, APP_COUNTERS[::-1])
+    np.testing.assert_array_equal(rev, np.arange(13.0)[::-1])
 
 
 def test_counters_to_matrix_orders_and_shapes():
@@ -145,10 +152,10 @@ def test_counters_to_matrix_orders_and_shapes():
     cube = counters_to_matrix(block, ["a", "b"])
     assert cube.shape == (2, 3, 4)
     np.testing.assert_array_equal(cube[0], block["a"])
-    # Scalars -> a plain feature vector, same as counters_to_vector.
+    # Scalars -> a plain feature vector in ``names`` order.
     d = {n: float(i) for i, n in enumerate(APP_COUNTERS)}
     np.testing.assert_array_equal(
-        counters_to_matrix(d, APP_COUNTERS), counters_to_vector(d, APP_COUNTERS)
+        counters_to_matrix(d, APP_COUNTERS), np.arange(13.0)
     )
 
 

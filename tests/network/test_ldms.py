@@ -28,10 +28,18 @@ def setup(tiny_topo):
     return state, job_routers
 
 
+def _sample(sampler, state, job_routers, duration, rng=None, noise=0.02):
+    """One interval through ``sample_steps`` as a one-row block."""
+    rates = {k: v[None] for k, v in synthesize_router_counters(state).items()}
+    rngs = None if rng is None else [rng]
+    [out] = sampler.sample_steps(job_routers, [duration], rngs, rates, noise=noise)
+    return out
+
+
 def test_sample_keys(tiny_topo, setup):
     state, job_routers = setup
     sampler = LDMSSampler(tiny_topo)
-    out = sampler.sample(state, job_routers, duration=10.0)
+    out = _sample(sampler, state, job_routers, duration=10.0)
     assert set(out) == {
         "IO_RT_FLIT_TOT",
         "IO_RT_RB_STL",
@@ -51,7 +59,7 @@ def test_sys_excludes_job_and_io_routers(tiny_topo, setup):
     state, job_routers = setup
     sampler = LDMSSampler(tiny_topo)
     rates = synthesize_router_counters(state)
-    out = sampler.sample(state, job_routers, 1.0, router_rates=rates)
+    out = _sample(sampler, state, job_routers, 1.0)
     # Manual recomputation of the sys partition.
     sys_mask = np.ones(tiny_topo.num_routers, dtype=bool)
     sys_mask[job_routers] = False
@@ -66,12 +74,12 @@ def test_sys_excludes_job_and_io_routers(tiny_topo, setup):
 def test_duration_scaling_and_noise(tiny_topo, setup):
     state, job_routers = setup
     sampler = LDMSSampler(tiny_topo)
-    one = sampler.sample(state, job_routers, 1.0)
-    five = sampler.sample(state, job_routers, 5.0)
+    one = _sample(sampler, state, job_routers, 1.0)
+    five = _sample(sampler, state, job_routers, 5.0)
     for k in one:
         assert five[k] == pytest.approx(5 * one[k])
-    noisy1 = sampler.sample(state, job_routers, 1.0, rng=rng_for("ldms"), noise=0.1)
-    noisy2 = sampler.sample(state, job_routers, 1.0, rng=rng_for("ldms"), noise=0.1)
+    noisy1 = _sample(sampler, state, job_routers, 1.0, rng=rng_for("ldms"), noise=0.1)
+    noisy2 = _sample(sampler, state, job_routers, 1.0, rng=rng_for("ldms"), noise=0.1)
     assert noisy1 == noisy2
 
 
@@ -83,7 +91,7 @@ def test_more_io_traffic_raises_io_counters(tiny_topo):
     job_routers = np.array([0])
     lo = engine.solve([engine.route(io_flows(tiny_topo, others, 1e9))])
     hi = engine.solve([engine.route(io_flows(tiny_topo, others, 5e10))])
-    s_lo = sampler.sample(lo, job_routers, 1.0)
-    s_hi = sampler.sample(hi, job_routers, 1.0)
+    s_lo = _sample(sampler, lo, job_routers, 1.0)
+    s_hi = _sample(sampler, hi, job_routers, 1.0)
     assert s_hi["IO_PT_FLIT_TOT"] > s_lo["IO_PT_FLIT_TOT"]
     assert s_hi["IO_RT_RB_STL"] >= s_lo["IO_RT_RB_STL"]

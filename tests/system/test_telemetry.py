@@ -7,7 +7,7 @@ import pytest
 
 from repro.apps.registry import get_application
 from repro.config import rng_for
-from repro.network.counters import APP_COUNTERS
+from repro.network.counters import APP_COUNTERS, synthesize_router_counters
 from repro.network.engine import CongestionEngine
 from repro.network.traffic import router_alltoall_flows
 from repro.system.jobs import JobRequest
@@ -110,6 +110,13 @@ def test_profile_jitter_reproducible():
 # --------------------------------------------------------------------- #
 
 
+def _record(ncl, step, state, duration):
+    """One step through ``record_steps`` as a one-row block."""
+    rates = {k: v[None] for k, v in synthesize_router_counters(state).items()}
+    [sc] = ncl.record_steps([step], [duration], rates)
+    return sc
+
+
 def test_ariesncl_collection(tiny_topo):
     engine = CongestionEngine(tiny_topo)
     rng = np.random.default_rng(3)
@@ -120,7 +127,7 @@ def test_ariesncl_collection(tiny_topo):
 
     ncl = AriesNCL(tiny_topo, routers, rng=rng_for("ncl"))
     for step in range(4):
-        sc = ncl.record_step(step, state, duration=2.0)
+        sc = _record(ncl, step, state, duration=2.0)
         assert set(sc.values) == set(APP_COUNTERS)
         assert sc.duration == 2.0
     mat = ncl.matrix()
@@ -142,7 +149,7 @@ def test_ariesncl_only_sees_job_routers(tiny_topo):
     other_flows = router_alltoall_flows(tiny_topo, other, 1e10)
     state = engine.solve([engine.route(other_flows)])
     ncl = AriesNCL(tiny_topo, our_routers, rng=None, noise=0.0)
-    sc = ncl.record_step(0, state, 1.0)
+    sc = _record(ncl, 0, state, 1.0)
     # Other-job endpoint traffic lands on other routers' processor tiles,
     # except where jobs share a router.
     shared = np.intersect1d(our_routers, np.unique(tiny_topo.node_router(other)))
