@@ -44,11 +44,19 @@ def resolve_fast(flag: bool | None = None) -> bool:
 
 
 def campaign_cache_size() -> int:
-    """Max campaigns kept in process (``REPRO_CAMPAIGN_CACHE_SIZE``)."""
+    """Max campaigns kept in process (``REPRO_CAMPAIGN_CACHE_SIZE``).
+
+    Raises ValueError when the variable is set to a non-integer.
+    """
+    raw = os.environ.get("REPRO_CAMPAIGN_CACHE_SIZE", "").strip()
+    if not raw:
+        return 2
     try:
-        size = int(os.environ.get("REPRO_CAMPAIGN_CACHE_SIZE", "2"))
+        size = int(raw)
     except ValueError:
-        size = 2
+        raise ValueError(
+            f"REPRO_CAMPAIGN_CACHE_SIZE must be an integer, got {raw!r}"
+        ) from None
     return max(1, size)
 
 
@@ -90,11 +98,12 @@ def get_campaign(
         METRICS.counter("experiments.campaign.memo_hits").inc()
         _CACHE.move_to_end(key)
         return _CACHE[key]
+    capacity = campaign_cache_size()  # a bad value fails before generation
     with span("experiments.get_campaign", fingerprint=key) as sp:
         camp = run_campaign(cfg)
         sp.set(datasets=len(list(camp.keys())))
     _CACHE[key] = camp
-    while len(_CACHE) > campaign_cache_size():
+    while len(_CACHE) > capacity:
         _CACHE.popitem(last=False)
     return camp
 

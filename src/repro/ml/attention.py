@@ -18,6 +18,13 @@ step t_c (paper Fig. 6).
 
 Inputs are standardised internally; the target is standardised as well so
 the MSE landscape is well-conditioned regardless of counter magnitudes.
+
+Training keeps every parameter as a view into one flat vector, so each
+Adam step is a single elementwise pass; the fitted model holds standalone
+arrays again.  The backward pass computes the three projection gradients
+with one einsum over ``[dQ | dK | dV]``: NumPy's einsum builds each output
+element as a sequential multiply-add over the (b, m) rows, so widening
+its output changes no sum.  Both leave every bit of the fit unchanged.
 """
 
 from __future__ import annotations
@@ -86,10 +93,11 @@ class AttentionForecaster:
         q = x @ p["Wq"]
         k = x @ p["Wk"]
         v = x @ p["Wv"]
-        scores = q @ np.swapaxes(k, 1, 2) / np.sqrt(d)
+        scores = q @ k.swapaxes(1, 2) / np.sqrt(d)
         a = softmax(scores, axis=-1)
         c = a @ v
-        pooled = np.concatenate([c.mean(axis=1), c[:, -1, :]], axis=1)
+        # ``c.mean(axis=1)`` is exactly this sum divided by m.
+        pooled = np.concatenate([c.sum(axis=1) / x.shape[1], c[:, -1, :]], axis=1)
         z1 = pooled @ p["W1"] + p["b1"]
         h1 = relu(z1)
         yhat = (h1 @ p["W2"] + p["b2"])[:, 0]
@@ -114,14 +122,18 @@ class AttentionForecaster:
         d_pooled = d_z1 @ p["W1"].T  # (B, 2d)
         d_c = np.repeat(d_pooled[:, None, :d] / m, m, axis=1)  # (B, m, d)
         d_c[:, -1, :] += d_pooled[:, d:]
-        d_a = d_c @ np.swapaxes(v, 1, 2)  # (B, m, m)
-        d_v = np.swapaxes(a, 1, 2) @ d_c  # (B, m, d)
+        d_a = d_c @ v.swapaxes(1, 2)  # (B, m, m)
+        d_v = a.swapaxes(1, 2) @ d_c  # (B, m, d)
         d_scores = softmax_backward(a, d_a, axis=-1) / np.sqrt(d)
         d_q = d_scores @ k
-        d_k = np.swapaxes(d_scores, 1, 2) @ q
-        g["Wq"] = np.einsum("bmh,bmd->hd", x, d_q)
-        g["Wk"] = np.einsum("bmh,bmd->hd", x, d_k)
-        g["Wv"] = np.einsum("bmh,bmd->hd", x, d_v)
+        d_k = d_scores.swapaxes(1, 2) @ q
+        # One einsum for the three projections: it adds each output
+        # element's terms in (b, m) order whatever the output width, so
+        # every column gets the bits of a per-projection einsum.
+        g_qkv = np.einsum(
+            "bmh,bmd->hd", x, np.concatenate([d_q, d_k, d_v], axis=2)
+        )
+        g["Wq"], g["Wk"], g["Wv"] = np.split(g_qkv, 3, axis=1)
         return g
 
     # ------------------------------------------------------------------ #
@@ -139,13 +151,20 @@ class AttentionForecaster:
 
         n = len(xs)
         self._init_params(x.shape[2], rng)
-        opt = Adam(self.params, lr=self.lr)
+        # Train every parameter as a view into one flat vector, so each
+        # Adam step is one elementwise pass (the same arithmetic per
+        # entry as one pass per array).
+        names = list(self.params)
+        flat = np.concatenate([self.params[k] for k in names], axis=None)
+        self.params = _views(flat, self.params)
+        opt = Adam({"flat": flat}, lr=self.lr)
 
         # Validation split for early stopping.
         n_val = max(1, int(round(self.validation_fraction * n))) if n >= 10 else 0
         perm = rng.permutation(n)
         val_idx = perm[:n_val]
         tr_idx = perm[n_val:]
+        x_val, y_val = xs[val_idx], ys[val_idx]
         best_val = np.inf
         best_params = None
         stale = 0
@@ -159,10 +178,10 @@ class AttentionForecaster:
                 yhat, cache = self._forward(xs[batch], need_cache=True)
                 grad_y = 2.0 * (yhat - ys[batch]) / len(batch)
                 grads = self._backward(grad_y, cache)
-                opt.step(grads)
+                opt.step({"flat": np.concatenate([grads[k] for k in names], axis=None)})
             if n_val:
-                val_pred = self._forward(xs[val_idx])
-                val_loss = float(np.mean((val_pred - ys[val_idx]) ** 2))
+                val_pred = self._forward(x_val)
+                val_loss = float(np.mean((val_pred - y_val) ** 2))
                 self.history_.append(val_loss)
                 if val_loss < best_val - 1e-6:
                     best_val = val_loss
@@ -175,8 +194,10 @@ class AttentionForecaster:
             else:
                 tr_pred = self._forward(xs)
                 self.history_.append(float(np.mean((tr_pred - ys) ** 2)))
-        if best_params is not None:
-            self.params = best_params
+        # The fitted model holds standalone arrays, as it always has.
+        if best_params is None:
+            best_params = {k: v.copy() for k, v in self.params.items()}
+        self.params = best_params
         return self
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -198,6 +219,15 @@ class AttentionForecaster:
         q = xs @ p["Wq"]
         k = xs @ p["Wk"]
         return softmax(q @ np.swapaxes(k, 1, 2) / np.sqrt(self.d_model), axis=-1)
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Arrays shaped like ``like``'s, laid end to end in ``flat``."""
+    views, start = {}, 0
+    for name, arr in like.items():
+        views[name] = flat[start : start + arr.size].reshape(arr.shape)
+        start += arr.size
+    return views
 
 
 def permutation_importance(

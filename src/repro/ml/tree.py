@@ -10,8 +10,22 @@ this vectorisation is what keeps the Fig. 9 RFE sweep tractable.
 The flattened search is bit-identical to scanning features one at a
 time: ``bincount`` adds weights in entry order (each bin's sum sees its
 rows in the same order), ``cumsum`` accumulates sequentially along its
-axis, and a first-max ``argmax`` per feature and then across features
-picks the same split as a strict-``>`` feature scan.
+axis, and taking the first feature with the largest best gain, then
+that feature's first-max bin, picks the same split as a strict-``>``
+feature scan.  Bins with fewer than ``min_samples_leaf`` rows on a side
+are masked to -inf before any comparison, so whatever their division by
+a zero count gave never matters.
+
+Ensembles share one set of codes (:meth:`DecisionTreeRegressor.fit_binned`
+keywords): the caller builds the :func:`histogram_keys` once, and each
+tree grows on its sample's row ids, in sample order, instead of on a
+copy of those rows.  Every node's histogram then sees the same rows in
+the same order as a fit on the copy, so the trees are bit-identical.
+While it splits, the tree also routes the rows outside its sample and
+writes every row's leaf value into the caller's ``fitted`` buffer —
+exactly what ``predict_binned`` on all rows would return, without the
+extra routing pass.  :func:`leaf_values` routes many trees at once for
+prediction; routing only compares codes, so it is exact too.
 """
 
 from __future__ import annotations
@@ -134,96 +148,124 @@ class DecisionTreeRegressor:
         return self.fit_binned(self.binner.transform(x), y)
 
     def fit_binned(
-        self, binned: np.ndarray, y: np.ndarray
+        self,
+        binned: np.ndarray,
+        y: np.ndarray,
+        *,
+        rows: "np.ndarray | None" = None,
+        fitted: "np.ndarray | None" = None,
+        keys: "np.ndarray | None" = None,
     ) -> "DecisionTreeRegressor":
         """Fit on pre-binned integer codes in ``[0, n_bins)`` (ensemble
-        fast path)."""
+        fast path).
+
+        The keywords let an ensemble grow many trees on one set of
+        codes without copying them (see the module docstring):
+
+        * ``keys`` -- :func:`histogram_keys` of ``binned``, built (and the
+          codes validated) once by the caller;
+        * ``rows`` -- the ids of the rows to grow on, in sample order
+          (default: every row); ``y`` stays indexed like ``binned``;
+        * ``fitted`` -- a length-n buffer that receives every row's leaf
+          value, rows outside ``rows`` included.
+        """
         binned = np.asarray(binned)
         y = np.asarray(y, dtype=np.float64).ravel()
         if binned.ndim != 2 or len(binned) != len(y):
             raise ValueError("binned must be (n, h) and y length-n")
-        nb = self.n_bins
-        if binned.size and (
-            not np.issubdtype(binned.dtype, np.integer)
-            or binned.min() < 0
-            or binned.max() >= nb
-        ):
-            # A stray code would land in the next feature's histogram.
-            raise ValueError(f"binned codes must be integers in [0, {nb})")
+        if keys is None:
+            keys = histogram_keys(binned, self.n_bins)
         n, h = binned.shape
+        if rows is None:
+            rows = np.arange(n)
+        # Rows outside the sample only follow the splits to their leaf.
+        rest = None
+        if fitted is not None and len(rows) < n:
+            outside = np.ones(n, dtype=bool)
+            outside[rows] = False
+            rest = np.flatnonzero(outside)
         gains = np.zeros(h)
-        self._feature, self._split_bin = [], []
-        self._left, self._right, self._value = [], [], []
-
-        def new_node() -> int:
-            self._feature.append(_LEAF)
-            self._split_bin.append(0)
-            self._left.append(_LEAF)
-            self._right.append(_LEAF)
-            self._value.append(0.0)
-            return len(self._value) - 1
-
-        # Feature-major histogram keys: row f holds f * nb + code.
-        keys = binned.T.astype(np.intp, order="C")
-        keys += np.arange(h, dtype=np.intp)[:, None] * nb
-        root = new_node()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-        min_leaf = self.min_samples_leaf
+        feature, split_bin = [_LEAF], [0]
+        left, right, value = [_LEAF], [_LEAF], [0.0]
+        stack: list = [(0, rows, rest, 0)]
 
         while stack:
-            node, idx, depth = stack.pop()
+            node, idx, rest, depth = stack.pop()
             ys = y[idx]
             total = ys.sum()
             count = len(idx)
-            self._value[node] = total / count
-            if depth >= self.max_depth or count < 2 * min_leaf or h == 0:
+            value[node] = total / count
+            split = None
+            if (
+                depth < self.max_depth
+                and count >= 2 * self.min_samples_leaf
+                and h
+            ):
+                split = self._best_split(keys, idx, ys, total)
+            if split is None:
+                if fitted is not None:
+                    fitted[idx] = value[node]
+                    if rest is not None:
+                        fitted[rest] = value[node]
                 continue
-            base = total * total / count
-            flat = np.take(keys, idx, axis=1).ravel()
-            cnt = np.bincount(flat, minlength=h * nb).astype(np.float64)
-            sm = np.bincount(flat, weights=np.tile(ys, h), minlength=h * nb)
-            c_cnt = np.cumsum(cnt.reshape(h, nb), axis=1)[:, :-1]
-            c_sum = np.cumsum(sm.reshape(h, nb), axis=1)[:, :-1]
-            n_r = count - c_cnt
-            valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gain = (
-                    c_sum**2 / np.maximum(c_cnt, 1)
-                    + (total - c_sum) ** 2 / np.maximum(n_r, 1)
-                    - base
-                )
-            gain[~valid] = -np.inf
-            # First-max bin per feature, then the first feature whose
-            # best gain is largest and exceeds the split threshold.
-            bins = np.argmax(gain, axis=1)
-            best = gain[np.arange(h), bins]
-            best = np.where(best > 1e-12, best, -np.inf)
-            best_f = int(np.argmax(best))
-            if best[best_f] == -np.inf:
-                continue
-            best_gain = float(best[best_f])
-            best_bin = int(bins[best_f])
-            go_left = binned[idx, best_f] <= best_bin
-            li, ri = idx[go_left], idx[~go_left]
+            best_f, best_bin, best_gain, go_left = split
+            l_rest = r_rest = None
+            if rest is not None:
+                rest_left = keys[best_f].take(rest) <= best_f * self.n_bins + best_bin
+                l_rest, r_rest = rest[rest_left], rest[~rest_left]
             gains[best_f] += best_gain
-            self._feature[node] = best_f
-            self._split_bin[node] = best_bin
-            l_node = new_node()
-            r_node = new_node()
-            self._left[node] = l_node
-            self._right[node] = r_node
-            stack.append((l_node, li, depth + 1))
-            stack.append((r_node, ri, depth + 1))
+            feature[node] = best_f
+            split_bin[node] = best_bin
+            l_node = len(value)
+            left[node], right[node] = l_node, l_node + 1
+            feature += [_LEAF, _LEAF]
+            split_bin += [0, 0]
+            left += [_LEAF, _LEAF]
+            right += [_LEAF, _LEAF]
+            value += [0.0, 0.0]
+            stack.append((l_node, idx[go_left], l_rest, depth + 1))
+            stack.append((l_node + 1, idx[~go_left], r_rest, depth + 1))
 
         s = gains.sum()
         self.feature_importances_ = gains / s if s > 0 else gains
+        self._feature, self._split_bin = feature, split_bin
+        self._left, self._right, self._value = left, right, value
         # Freeze node arrays.
-        self._nf = np.asarray(self._feature)
-        self._nb_arr = np.asarray(self._split_bin)
-        self._nl = np.asarray(self._left)
-        self._nr = np.asarray(self._right)
-        self._nv = np.asarray(self._value)
+        self._nf = np.asarray(feature)
+        self._nb_arr = np.asarray(split_bin)
+        self._nl = np.asarray(left)
+        self._nr = np.asarray(right)
+        self._nv = np.asarray(value)
         return self
+
+    def _best_split(self, keys, idx, ys, total):
+        """``(feature, bin, gain, go_left)`` of the node's best split, or
+        None when no split clears the gain threshold."""
+        h, count, nb = len(keys), len(idx), self.n_bins
+        min_leaf = self.min_samples_leaf
+        flat = keys.take(idx, axis=1).ravel()
+        c_cnt = np.bincount(flat, minlength=h * nb).reshape(h, nb)
+        c_cnt = c_cnt.cumsum(axis=1)[:, :-1]
+        weights = ys[None].repeat(h, axis=0).ravel()
+        c_sum = np.bincount(flat, weights=weights, minlength=h * nb)
+        c_sum = c_sum.reshape(h, nb).cumsum(axis=1)[:, :-1]
+        n_r = count - c_cnt
+        valid = (c_cnt >= min_leaf) & (n_r >= min_leaf)
+        # Bins outside ``valid`` may divide by zero; they are masked to
+        # -inf before any comparison.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = c_sum**2 / c_cnt + (total - c_sum) ** 2 / n_r - total * total / count
+        gain = np.where(valid, gain, -np.inf)
+        # The first feature whose best gain is largest, then its first-max
+        # bin.
+        per_feature = gain.max(axis=1)
+        best_f = int(per_feature.argmax())
+        best_gain = per_feature[best_f]
+        if not best_gain > 1e-12:
+            return None
+        best_bin = int(gain[best_f].argmax())
+        seg = flat[best_f * count : (best_f + 1) * count]
+        return best_f, best_bin, best_gain, seg <= best_f * nb + best_bin
 
     # ------------------------------------------------------------------ #
 
@@ -234,20 +276,77 @@ class DecisionTreeRegressor:
         return self.predict_binned(self.binner.transform(np.asarray(x, dtype=np.float64)))
 
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        node = np.zeros(len(binned), dtype=np.int64)
-        for _ in range(self.max_depth + 1):
-            feat = self._nf[node]
-            internal = feat != _LEAF
-            if not internal.any():
-                break
-            rows = np.flatnonzero(internal)
-            f = feat[rows]
-            go_left = binned[rows, f] <= self._nb_arr[node[rows]]
-            node[rows] = np.where(
-                go_left, self._nl[node[rows]], self._nr[node[rows]]
-            )
-        return self._nv[node]
+        binned = check_code_width(binned, self.feature_importances_)
+        return leaf_values([self], binned)[0]
 
     @property
     def node_count(self) -> int:
         return len(self._value)
+
+
+def histogram_keys(binned: np.ndarray, n_bins: int) -> np.ndarray:
+    """Validate ``(n, h)`` codes and return their histogram keys.
+
+    The keys are feature-major ``(h, n)``: row f holds ``f * n_bins +
+    code``, so one ``bincount`` over a node's gathered keys histograms
+    every feature at once.
+    """
+    if binned.size and (
+        not np.issubdtype(binned.dtype, np.integer)
+        or binned.min() < 0
+        or binned.max() >= n_bins
+    ):
+        # A stray code would land in the next feature's histogram.
+        raise ValueError(f"binned codes must be integers in [0, {n_bins})")
+    keys = binned.T.astype(np.intp, order="C")
+    keys += np.arange(binned.shape[1], dtype=np.intp)[:, None] * n_bins
+    return keys
+
+
+def check_code_width(
+    binned: np.ndarray, importances: "np.ndarray | None"
+) -> np.ndarray:
+    """``binned`` as a 2-D array with one column per fitted feature."""
+    if importances is None:
+        raise RuntimeError("model is not fitted")
+    binned = np.asarray(binned)
+    h = len(importances)
+    if binned.ndim != 2 or binned.shape[1] != h:
+        raise ValueError(
+            f"binned codes must be (n, {h}) for a model fitted on {h} "
+            f"features, got shape {binned.shape}"
+        )
+    return binned
+
+
+def leaf_values(
+    trees: "list[DecisionTreeRegressor]", binned: np.ndarray
+) -> np.ndarray:
+    """Every tree's leaf value for every row, as a ``(len(trees), n)``
+    array.
+
+    The trees route together over their stacked node arrays.  Each leaf
+    points to itself, so every row can take the same number of steps.
+    Routing only compares codes, so the values are exactly those a
+    per-tree walk returns.
+    """
+    counts = np.array([tree.node_count for tree in trees])
+    first = np.cumsum(counts) - counts
+    feature = np.concatenate([tree._nf for tree in trees])
+    value = np.concatenate([tree._nv for tree in trees])
+    n, h = binned.shape
+    node = np.repeat(first[:, None], n, axis=1)
+    leaf = feature == _LEAF
+    if not leaf.all():
+        ids = np.arange(len(feature))
+        shift = np.repeat(first, counts)
+        left = np.where(leaf, ids, np.concatenate([t._nl for t in trees]) + shift)
+        right = np.where(leaf, ids, np.concatenate([t._nr for t in trees]) + shift)
+        feature[leaf] = 0
+        split_bin = np.concatenate([tree._nb_arr for tree in trees])
+        codes = np.ascontiguousarray(binned).ravel()
+        row_start = np.arange(n) * h
+        for _ in range(max(tree.max_depth for tree in trees)):
+            go_left = codes[row_start + feature[node]] <= split_bin[node]
+            node = np.where(go_left, left[node], right[node])
+    return value[node]

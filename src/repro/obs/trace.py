@@ -41,6 +41,7 @@ from __future__ import annotations
 import atexit
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -117,12 +118,23 @@ def _refresh_gate() -> None:
 
 
 def _max_trace_bytes() -> int:
-    """The configured trace cap in bytes (0 = unlimited)."""
-    raw = os.environ.get(TRACE_MAX_ENV)
-    try:
-        mb = float(raw) if raw else DEFAULT_TRACE_MAX_MB
-    except ValueError:
+    """The configured trace cap in bytes (0 = unlimited).
+
+    Raises ValueError when ``REPRO_TRACE_MAX_MB`` is set to anything
+    but a finite number.
+    """
+    raw = os.environ.get(TRACE_MAX_ENV, "").strip()
+    if not raw:
         mb = DEFAULT_TRACE_MAX_MB
+    else:
+        try:
+            mb = float(raw)
+        except ValueError:
+            mb = math.nan
+        if not math.isfinite(mb):
+            raise ValueError(
+                f"{TRACE_MAX_ENV} must be a number of MiB, got {raw!r}"
+            )
     if mb <= 0:
         return 0
     return int(mb * 1024 * 1024)
@@ -218,6 +230,7 @@ def start_run(name: str = "run", path: "Path | str | None" = None) -> Path:
     with _LOCK:
         if _SINK is not None:
             return _RUN_PATH  # type: ignore[return-value]
+        _max_trace_bytes()  # a bad cap fails here, before any file opens
         _TRUNCATED = False
         _SINCE_SIZE_CHECK = 0
         stamp = time.strftime("%Y%m%dT%H%M%S")

@@ -303,3 +303,39 @@ def test_gbr_fit_binned_bit_identical_to_plain_fit(friedman):
     np.testing.assert_array_equal(
         plain.feature_importances_, binned.feature_importances_
     )
+
+
+# --------------------------------------------------------------------- #
+# Prediction input width
+# --------------------------------------------------------------------- #
+
+
+@pytest.mark.parametrize("model", ["tree", "gbr"])
+def test_predict_binned_rejects_wrong_width(model):
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(80, 3))
+    y = x[:, 0] - x[:, 2]
+    if model == "tree":
+        est = DecisionTreeRegressor().fit(x, y)
+        codes = est.binner.transform(x)
+    else:
+        est = GradientBoostedRegressor(n_estimators=5).fit(x, y)
+        codes = est.binner_.transform(x)
+    assert est.predict_binned(codes).shape == (80,)
+    # Four columns used to route silently on the first three; two raised
+    # a bare IndexError from the routing loop.
+    for bad in (
+        np.zeros((4, 4), dtype=np.uint8),
+        np.zeros((4, 2), dtype=np.uint8),
+        np.zeros(3, dtype=np.uint8),
+        np.zeros((4, 3, 1), dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            est.predict_binned(bad)
+
+
+def test_predict_binned_requires_fit():
+    with pytest.raises(RuntimeError):
+        DecisionTreeRegressor().predict_binned(np.zeros((2, 1), dtype=np.uint8))
+    with pytest.raises(RuntimeError):
+        GradientBoostedRegressor().predict_binned(np.zeros((2, 1), dtype=np.uint8))

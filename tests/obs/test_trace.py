@@ -225,3 +225,15 @@ def test_size_guard_default_far_above_test_traffic(trace_file):
     assert not any(
         r.get("t") == "truncated" for r in read_records(trace_file)
     )
+
+
+@pytest.mark.parametrize("raw", ["abc", "12MB", "nan", "inf"])
+def test_bad_size_cap_fails_when_tracing_starts(
+    tmp_path, clean_trace_state, monkeypatch, raw
+):
+    monkeypatch.setenv(trace.TRACE_MAX_ENV, raw)
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(ValueError, match=trace.TRACE_MAX_ENV):
+        trace.start_run("bad", path=path)
+    assert not path.exists()
+    assert not trace.active()
