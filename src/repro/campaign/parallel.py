@@ -287,9 +287,10 @@ def _solve_one_run(
     sharing one background window.  Per block, the per-step background
     ``BaseLoad`` construction, the network solve
     (:meth:`ProbeRunContext.solve_steps`), both counter syntheses
-    (:func:`synthesize_router_counters_block`), counter collection
-    (:meth:`AriesNCL.record_steps`) and LDMS sampling
-    (:meth:`LDMSSampler.sample_steps`) each run once over
+    (:func:`synthesize_router_counters_block`: probe plus background,
+    then the background's flit family, each only where it is read),
+    counter collection (:meth:`AriesNCL.record_steps`) and LDMS
+    sampling (:meth:`LDMSSampler.sample_steps`) each run once over
     ``(steps, links)`` / ``(steps, routers)`` arrays.
 
     The output is byte-identical to the original per-step loop (kept
@@ -297,9 +298,10 @@ def _solve_one_run(
     invariants, each asserted by the equality tests:
 
     * every batched array op is elementwise/broadcast, an exact
-      ``maximum`` reduction, or an explicit per-row 1-D ``bincount`` /
-      sum / dot — never a BLAS matmul or an axis-0 reduction, which
-      reorder FP accumulation;
+      ``maximum`` reduction, a ``bincount`` that feeds each bin in the
+      per-step order, a last-axis sum over C-contiguous rows, or an
+      explicit per-row 1-D dot — never a BLAS matmul or an axis-0
+      reduction, which reorder FP accumulation;
     * scalar chains that feed Python ``float`` arithmetic (step-time
       products, ``blended_slowdown``'s ``**``) stay per-step scalar;
     * RNG streams are consumed in the per-step order: the per-step
@@ -380,7 +382,13 @@ def _solve_one_run(
         wcol = weather[start:end, None]
 
         def _bg(c: np.ndarray, i: np.ndarray, s: np.ndarray) -> np.ndarray:
-            return np.maximum(bcol * c + wcol * i - bcol * s, 0.0)
+            # max(b * c + w * i - b * s, 0), each operator written into
+            # one of two buffers in the same order.
+            out = bcol * c
+            tmp = wcol * i
+            out += tmp
+            out -= np.multiply(bcol, s, out=tmp)
+            return np.maximum(out, 0.0, out=out)
 
         bg = BaseLoad(
             _bg(comm.link_loads, io.link_loads, self_comm.link_loads),
@@ -413,9 +421,12 @@ def _solve_one_run(
             t_nominal_b[i] = float(sm.compute[step] + sm.mpi[step])
         t_step_b = step_t[start:end]
 
-        rates = synthesize_router_counters_block(topo, loads, inj, ej, vc4)
-        bg_rates = synthesize_router_counters_block(
-            topo, bg.link_loads, bg.inj, bg.ej, bg.vc4
+        rates, ldms_rates = synthesize_router_counters_block(
+            topo, loads, inj, ej, vc4, ctx.job_links
+        )
+        bg_rates, _ = synthesize_router_counters_block(
+            topo, bg.link_loads, bg.inj, bg.ej, bg.vc4, ctx.job_links,
+            flits_only=True,
         )
         ratio = (t_nominal_b / t_step_b)[:, None]
         job_rates = {}
@@ -435,7 +446,7 @@ def _solve_one_run(
             ctx.routers,
             durations_b,
             [rng_for("ldms", task.job_id, s, seed=seed) for s in steps],
-            rates,
+            ldms_rates,
             noise=COUNTER_NOISE,
         )
         for i, step in enumerate(steps):

@@ -17,8 +17,9 @@ Performance design (the campaign solves ~40k network states):
   chronological sweep maintains an additive :class:`BaseLoad` accumulator
   (O(#links) per event);
 * each probe run's routing geometry is built once; its steps are then
-  solved in blocks — ``(steps, links)`` vector work plus
-  ``maximum.reduceat`` passes for the UGAL split;
+  solved in blocks — ``(steps, links)`` vector work plus per-flow
+  ``maximum`` passes for the UGAL split — and its counters are
+  synthesized only on the routers the datasets read;
 * everything *outside* the chronological sweep — per-job traffic routing
   and every probe run's step solves — fans out over a process pool (see
   :mod:`repro.campaign.parallel`); ``CampaignConfig.workers`` /
@@ -257,46 +258,67 @@ class CampaignConfig:
 MID_HOP_DISCOUNT = 0.55
 
 
-class _SegMax:
-    """Per-flow maximum of a per-link metric via one sorted reduceat.
+def _sort_key(values: np.ndarray) -> np.ndarray:
+    """Non-negative ints in the narrowest unsigned dtype that holds them.
 
-    ``entry_mask`` restricts the reduction to a subset of incidence
-    entries (e.g. only endpoint-adjacent links).
+    A stable sort's output is unique, so the dtype only picks the
+    algorithm: NumPy radix-sorts 8- and 16-bit keys.
+    """
+    if not len(values):
+        return values
+    return values.astype(np.min_scalar_type(values.max()), copy=False)
+
+
+class _SegMax:
+    """Per-flow maximum of a per-link metric, taken in passes.
+
+    ``flow``/``link`` are the incidence entries to reduce over (e.g. only
+    the endpoint-adjacent ones), stably sorted by flow so each flow's
+    links form one segment in incidence order.
+
+    Construction ranks the flows by segment length, longest first.  Pass
+    ``p`` holds the ``p``-th link of every flow that has one, in rank
+    order; those flows are a prefix of the ranking, so each pass updates
+    a leading slice of the accumulator.  Only the per-pass link ids and
+    the ranked flow ids are kept.
     """
 
-    def __init__(
-        self, inc: Incidence, n_flows: int, entry_mask: np.ndarray | None = None
-    ) -> None:
-        if entry_mask is not None:
-            inc = Incidence(
-                inc.flow[entry_mask], inc.link[entry_mask], inc.share[entry_mask]
-            )
-        order = np.argsort(inc.flow, kind="stable")
-        self.link = inc.link[order]
-        flows_sorted = inc.flow[order]
-        if len(flows_sorted):
-            self.seg_starts = np.flatnonzero(
-                np.r_[True, flows_sorted[1:] != flows_sorted[:-1]]
-            )
-            self.seg_flows = flows_sorted[self.seg_starts]
-        else:
-            self.seg_starts = np.empty(0, dtype=np.int64)
-            self.seg_flows = np.empty(0, dtype=np.int64)
+    def __init__(self, flow: np.ndarray, link: np.ndarray, n_flows: int) -> None:
         self.n_flows = n_flows
+        #: Accumulator column -> flow id, longest segment first.
+        self.flows = np.empty(0, dtype=np.int64)
+        #: Link ids of pass ``p``, for accumulator columns ``[0, len)``.
+        self.passes: list[np.ndarray] = []
+        if not len(flow):
+            return
+        starts = np.flatnonzero(np.r_[True, flow[1:] != flow[:-1]])
+        counts = np.diff(np.r_[starts, len(flow)])
+        rank = np.argsort(_sort_key(counts.max() - counts), kind="stable")
+        head = starts[rank]
+        self.flows = flow[head]
+        # widths[p]: how many flows have more than p links.  Each pass is
+        # one gather at its flows' segment heads, so building them all
+        # touches every entry once.
+        widths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        self.passes = [link[head[:w] + p] for p, w in enumerate(widths.tolist())]
 
     def block(self, per_link: np.ndarray) -> np.ndarray:
         """``(steps, links)`` -> ``(steps, flows)`` per-flow maxima.
 
-        One axis-1 gather plus one ``maximum.reduceat`` along axis 1.
-        ``maximum`` is an exact reduction (no rounding), so each row is
-        bit-identical to reducing that step's ``(links,)`` vector alone,
-        regardless of how the reduction is ordered internally.
+        The first pass gathers each flow's first link; every later pass
+        takes ``np.maximum`` with the next link of the flows that have
+        one, in place on a leading slice of the accumulator.  Flows with
+        no entry stay 0.  ``maximum`` is exact (no rounding) and each
+        flow meets its links in their incidence order, so every value is
+        bit-identical to a ``maximum.reduceat`` over the flow's segment.
         """
         out = np.zeros((per_link.shape[0], self.n_flows))
-        if len(self.link):
-            out[:, self.seg_flows] = np.maximum.reduceat(
-                per_link[:, self.link], self.seg_starts, axis=1
-            )
+        if self.passes:
+            acc = per_link[:, self.passes[0]]
+            for links in self.passes[1:]:
+                head = acc[:, : len(links)]
+                np.maximum(head, per_link[:, links], out=head)
+            out[:, self.flows] = acc
         return out
 
 
@@ -322,6 +344,9 @@ class ProbeRunContext:
         self.nodes = nodes
         self.step_model = step_model
         self.routers = job_routers(topology, nodes)
+        # The links ending at the job's routers: the only ones whose
+        # router sums the job's counters need beyond the LDMS totals.
+        self.job_links = topology.router_links(self.routers)
 
         flows = app.flow_geometry(topology, nodes)
         self.flows = flows
@@ -333,18 +358,26 @@ class ProbeRunContext:
         self.load_val = self.routing.valiant.link_loads(vol, n_links)
         # Split each path set into endpoint-adjacent ("edge") hops, which
         # adaptive routing cannot avoid, and middle hops, which it can
-        # partially steer around (see MID_HOP_DISCOUNT).
+        # partially steer around (see MID_HOP_DISCOUNT).  One stable sort
+        # per path set puts its edge entries first, each half grouped by
+        # flow with a flow's entries in incidence order.
         ls, ld = topology.link_endpoints
-        def _edge_mask(inc: Incidence) -> np.ndarray:
-            return (ls[inc.link] == flows.src[inc.flow]) | (
-                ld[inc.link] == flows.dst[inc.flow]
+
+        def _edge_mid(inc: Incidence) -> tuple[_SegMax, _SegMax]:
+            mid = (ls[inc.link] != flows.src[inc.flow]) & (
+                ld[inc.link] != flows.dst[inc.flow]
             )
-        m_edge = _edge_mask(self.routing.minimal)
-        v_edge = _edge_mask(self.routing.valiant)
-        self.seg_min_edge = _SegMax(self.routing.minimal, len(flows), m_edge)
-        self.seg_min_mid = _SegMax(self.routing.minimal, len(flows), ~m_edge)
-        self.seg_val_edge = _SegMax(self.routing.valiant, len(flows), v_edge)
-        self.seg_val_mid = _SegMax(self.routing.valiant, len(flows), ~v_edge)
+            key = _sort_key(mid * len(flows) + inc.flow)
+            order = np.argsort(key, kind="stable")
+            flow, link = inc.flow[order], inc.link[order]
+            n_edge = len(flow) - np.count_nonzero(mid)
+            return (
+                _SegMax(flow[:n_edge], link[:n_edge], len(flows)),
+                _SegMax(flow[n_edge:], link[n_edge:], len(flows)),
+            )
+
+        self.seg_min_edge, self.seg_min_mid = _edge_mid(self.routing.minimal)
+        self.seg_val_edge, self.seg_val_mid = _edge_mid(self.routing.valiant)
         r = topology.num_routers
         self.inj_unit = np.bincount(flows.src, weights=vol, minlength=r)
         self.ej_unit = np.bincount(flows.dst, weights=vol, minlength=r)
@@ -390,10 +423,13 @@ class ProbeRunContext:
 
         # a0 and the fixed path-set vectors are step-invariant, so the
         # first-pass mix is computed once for the block (same expression,
-        # same value, as a one-step solve).
+        # same value, as a one-step solve).  The (steps, links) results
+        # are written into one buffer, operand by operand in the one-step
+        # order (a single IEEE add or multiply is commutative).
         mix0 = a0 * self.load_min + (1 - a0) * self.load_val
-        loads0 = base.link_loads + s * mix0
-        util0 = loads0 / cap
+        util0 = s * mix0
+        util0 += base.link_loads
+        util0 /= cap
         u_min = np.maximum(
             self.seg_min_edge.block(util0),
             MID_HOP_DISCOUNT * self.seg_min_mid.block(util0),
@@ -416,12 +452,18 @@ class ProbeRunContext:
         else:
             a = np.full(n, a0)
 
-        loads = base.link_loads + s * (
-            a[:, None] * self.load_min + (1 - a)[:, None] * self.load_val
-        )
-        inj = base.inj + s * self.inj_unit
-        ej = base.ej + s * self.ej_unit
-        vc4 = base.vc4 + s * self.vc4_unit
+        # base + s * (a * load_min + (1 - a) * load_val), reusing util0's
+        # buffer for the second product.
+        loads = a[:, None] * self.load_min
+        loads += np.multiply((1 - a)[:, None], self.load_val, out=util0)
+        loads *= s
+        loads += base.link_loads
+        inj = s * self.inj_unit
+        inj += base.inj
+        ej = s * self.ej_unit
+        ej += base.ej
+        vc4 = s * self.vc4_unit
+        vc4 += base.vc4
 
         path_util = alpha_f * u_min + (1.0 - alpha_f) * u_val
         fabric = slowdown_curve(path_util)
@@ -697,10 +739,13 @@ class TrafficTimeline:
 
     @staticmethod
     def _iadd(acc: BaseLoad, c: BaseLoad, sign: float) -> None:
-        acc.link_loads += sign * c.link_loads
-        acc.inj += sign * c.inj
-        acc.ej += sign * c.ej
-        acc.vc4 += sign * c.vc4
+        # ``acc += -c`` is bit-equal to ``acc -= c`` (and ``1.0 * c`` is
+        # ``c``), so no signed temporary is needed.
+        op = np.add if sign > 0 else np.subtract
+        op(acc.link_loads, c.link_loads, out=acc.link_loads)
+        op(acc.inj, c.inj, out=acc.inj)
+        op(acc.ej, c.ej, out=acc.ej)
+        op(acc.vc4, c.vc4, out=acc.vc4)
 
     def advance(self, t: float) -> bool:
         """Fold in all events up to ``t``; True if the background changed.

@@ -29,7 +29,7 @@ def bench_forecaster(seed: int = 0) -> AttentionForecaster:
     )
 
 
-@stage_fn(version=1)
+@stage_fn(version=2)
 def render_grid(ctx):
     p = ctx.params
     tiers = p["tiers"]
@@ -152,7 +152,9 @@ def _mean_delta(by, ms, ks, tiers, axis: str) -> float:
     import numpy as np
 
     deltas = []
-    for tier in {t for (_, _, t) in by}:
+    # Iterate the grid's own tier order: a set of strings iterates in a
+    # per-process hash order, and the mean would add the deltas in it.
+    for tier in tiers:
         for m in ms:
             for k in ks:
                 if axis == "m" and len(ms) > 1:

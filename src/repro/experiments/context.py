@@ -1,12 +1,16 @@
 """Shared experiment context: one campaign serving every figure.
 
-The campaign scale follows the ``REPRO_SCALE`` / ``REPRO_FAST``
-environment:
+The campaign scale follows ``fast`` and the ``REPRO_FAST`` environment
+(:func:`experiment_config`, :func:`resolve_fast`):
 
 * default — the benchmark-scale 120-day campaign (generated once, cached
   on disk under ``REPRO_CACHE_DIR``);
 * ``REPRO_FAST=1`` or ``fast=True`` — the test-scale campaign, for smoke
   runs of the full pipeline.
+
+``REPRO_SCALE`` does not pick the campaign scale: both campaign configs
+name their preset explicitly.  Only :func:`repro.config.get_preset`
+reads it, for topologies built with ``preset=None``.
 
 The in-process campaign cache is bounded (LRU over
 :func:`campaign_cache_size` entries, default 2) and keyed by

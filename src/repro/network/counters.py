@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.config import MEAN_PACKET_FLITS, ROUTER_CLOCK_HZ
 from repro.network.engine import NetworkState
+from repro.topology.base import RouterLinks
 
 #: Fraction of processor-tile stall pressure attributed to request VCs; the
 #: remainder hits response VCs.  Request flits dominate for data-heavy
@@ -164,6 +165,14 @@ APP_COUNTERS: list[str] = [
 #: Placement features from Slurm logs (paper §III-C).
 PLACEMENT_FEATURES: list[str] = ["NUM_ROUTERS", "NUM_GROUPS"]
 
+#: The Table II rows the LDMS io/sys aggregates read, on every router.
+LDMS_COUNTERS: tuple[str, ...] = (
+    "RT_FLIT_TOT",
+    "RT_RB_STL",
+    "PT_FLIT_TOT",
+    "PT_PKT_TOT",
+)
+
 #: LDMS-derived I/O-router features used in the forecasting ablation.
 IO_COUNTERS: list[str] = [
     "IO_RT_FLIT_TOT",
@@ -208,6 +217,30 @@ def spec_by_abbreviation(abbrev: str) -> CounterSpec:
 # ---------------------------------------------------------------------------
 
 
+def _flit_rates(
+    rt_flit: np.ndarray, ej: np.ndarray, vc4: np.ndarray
+) -> dict[str, np.ndarray]:
+    """The Table II flit and packet rates of both tiles.
+
+    They depend only on the router-tile flit sum and the endpoint
+    volumes; every operation is elementwise.
+    """
+    from repro.config import FLIT_BYTES
+
+    # Processor-tile side: endpoint traffic to/from this router's NICs.
+    vc4_flit = vc4 / FLIT_BYTES
+    vc0_flit = ej / FLIT_BYTES
+    pt_flit = vc0_flit + vc4_flit
+    return {
+        "RT_FLIT_TOT": rt_flit,
+        "RT_PKT_TOT": rt_flit / MEAN_PACKET_FLITS,
+        "PT_FLIT_VC0": vc0_flit,
+        "PT_FLIT_VC4": vc4_flit,
+        "PT_FLIT_TOT": pt_flit,
+        "PT_PKT_TOT": pt_flit / MEAN_PACKET_FLITS,
+    }
+
+
 def _counter_rates(
     rt_flit: np.ndarray,
     rt_stall: np.ndarray,
@@ -217,24 +250,16 @@ def _counter_rates(
     ej: np.ndarray,
     vc4: np.ndarray,
 ) -> dict[str, np.ndarray]:
-    """The Table II rate formulas over router-aggregate inputs.
+    """The Table II rate formulas over router-aggregate inputs, in
+    :data:`APP_COUNTERS` order.
 
     Every operation is elementwise, so the same formulas serve the
     per-state ``(routers,)`` view and the batched ``(steps, routers)``
-    view bit-identically.
+    view bit-identically, on every router or on any column subset.
     """
-    from repro.config import FLIT_BYTES
-
-    rt_pkt = rt_flit / MEAN_PACKET_FLITS
     # Two simultaneous stalls happen when multiple input queues back up;
     # quadratic in mean utilisation.
     rt_2x = rt_stall * np.minimum(rt_mean_util, 1.0)
-
-    # Processor-tile side: endpoint traffic to/from this router's NICs.
-    vc4_flit = vc4 / FLIT_BYTES
-    vc0_flit = ej / FLIT_BYTES
-    pt_flit = vc0_flit + vc4_flit
-    pt_pkt = pt_flit / MEAN_PACKET_FLITS
 
     pt_rb_stl_rq = pt_stall_total * _RQ_STALL_SHARE
     pt_rb_stl_rs = pt_stall_total * (1.0 - _RQ_STALL_SHARE)
@@ -247,21 +272,17 @@ def _counter_rates(
     pt_cb_stl_rs = 0.7 * pt_rb_stl_rs + (1 - _RQ_STALL_SHARE) * fabric_echo
     pt_2x = pt_stall_total * np.minimum(nic_util, 1.0)
 
-    return {
-        "RT_FLIT_TOT": rt_flit,
-        "RT_PKT_TOT": rt_pkt,
-        "RT_RB_2X_USG": rt_2x,
-        "RT_RB_STL": rt_stall,
-        "PT_CB_STL_RQ": pt_cb_stl_rq,
-        "PT_CB_STL_RS": pt_cb_stl_rs,
-        "PT_FLIT_VC0": vc0_flit,
-        "PT_FLIT_VC4": vc4_flit,
-        "PT_FLIT_TOT": pt_flit,
-        "PT_PKT_TOT": pt_pkt,
-        "PT_RB_STL_RQ": pt_rb_stl_rq,
-        "PT_RB_STL_RS": pt_rb_stl_rs,
-        "PT_RB_2X_USG": pt_2x,
-    }
+    rates = _flit_rates(rt_flit, ej, vc4)
+    rates.update(
+        RT_RB_2X_USG=rt_2x,
+        RT_RB_STL=rt_stall,
+        PT_CB_STL_RQ=pt_cb_stl_rq,
+        PT_CB_STL_RS=pt_cb_stl_rs,
+        PT_RB_STL_RQ=pt_rb_stl_rq,
+        PT_RB_STL_RS=pt_rb_stl_rs,
+        PT_RB_2X_USG=pt_2x,
+    )
+    return {name: rates[name] for name in APP_COUNTERS}
 
 
 def synthesize_router_counters(state: NetworkState) -> dict[str, np.ndarray]:
@@ -288,35 +309,72 @@ def synthesize_router_counters_block(
     inj: np.ndarray,
     ej: np.ndarray,
     vc4: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Batched :func:`synthesize_router_counters` over a block of steps.
+    job: RouterLinks,
+    *,
+    flits_only: bool = False,
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """A probe's counter rates over a block of steps, computed only
+    where they are read.
 
     ``link_loads`` is ``(steps, links)``; ``inj``/``ej``/``vc4`` are
-    ``(steps, routers)``.  Returns each counter rate as a
-    ``(steps, routers)`` matrix whose rows are bit-identical to building
-    a :class:`NetworkState` per step and synthesising from it: the
-    router aggregates use the same per-row ``bincount``
-    (:meth:`~repro.topology.base.Topology.router_link_sums`) and every
-    rate formula is elementwise, so batching cannot change FP order.
+    ``(steps, routers)``; ``job`` is
+    :meth:`~repro.topology.base.Topology.router_links` of the job's
+    routers.  Returns ``(job_rates, ldms_rates)``:
+
+    * ``job_rates`` — every :data:`APP_COUNTERS` rate on the job's
+      routers, ``(steps, len(job.routers))`` each, in
+      :data:`APP_COUNTERS` order: what AriesNCL reads;
+    * ``ldms_rates`` — the :data:`LDMS_COUNTERS` on every router,
+      ``(steps, routers)`` each: what the LDMS io/sys aggregates read.
+
+    ``flits_only=True`` returns only the six flit-family rates on the
+    job's routers (one link sum over the links that end there) and an
+    empty ``ldms_rates``.
+
+    Each column is bit-identical to the same router's column of a
+    per-step :func:`synthesize_router_counters`: the router sums are
+    :meth:`~repro.topology.base.Topology.router_link_sums` bincounts
+    whose job-router bins see the same links in the same order, and
+    every rate formula is elementwise.
     """
     from repro.config import FLIT_BYTES, NIC_BW
     from repro.network.engine import STALL_SCALE, stall_curve
 
+    routers = job.routers
+    ej_job = ej[:, routers]
+    vc4_job = vc4[:, routers]
+    if flits_only:
+        rt_flit = topology.router_link_sums(link_loads, job)
+        rt_flit /= FLIT_BYTES
+        return _flit_rates(rt_flit, ej_job, vc4_job), {}
+
     link_util = link_loads / topology.link_capacity
-    link_stall = ROUTER_CLOCK_HZ * STALL_SCALE * stall_curve(link_util)
-    nic_util = (inj + ej) / (topology.nodes_per_router * NIC_BW)
-    return _counter_rates(
-        rt_flit=topology.router_link_sums(link_loads) / FLIT_BYTES,
-        rt_stall=topology.router_link_sums(link_stall),
+    link_stall = stall_curve(link_util)
+    link_stall *= ROUTER_CLOCK_HZ * STALL_SCALE
+    rt_flit = topology.router_link_sums(link_loads)
+    rt_flit /= FLIT_BYTES
+    rt_stall = topology.router_link_sums(link_stall)
+    nic_util = (inj[:, routers] + ej_job) / (topology.nodes_per_router * NIC_BW)
+    job_rates = _counter_rates(
+        rt_flit=rt_flit[:, routers],
+        rt_stall=rt_stall[:, routers],
         rt_mean_util=(
-            topology.router_link_sums(link_util)
-            / np.maximum(topology.link_dst_counts, 1)
+            topology.router_link_sums(link_util, job)
+            / np.maximum(topology.link_dst_counts[routers], 1)
         ),
         nic_util=nic_util,
         pt_stall_total=ROUTER_CLOCK_HZ * STALL_SCALE * stall_curve(nic_util),
-        ej=ej,
-        vc4=vc4,
+        ej=ej_job,
+        vc4=vc4_job,
     )
+    flits = _flit_rates(rt_flit, ej, vc4)
+    ldms_rates = {
+        "RT_FLIT_TOT": rt_flit,
+        "RT_RB_STL": rt_stall,
+        "PT_FLIT_TOT": flits["PT_FLIT_TOT"],
+        "PT_PKT_TOT": flits["PT_PKT_TOT"],
+    }
+    return job_rates, ldms_rates
 
 
 def counters_to_matrix(

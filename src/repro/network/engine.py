@@ -83,7 +83,12 @@ def stall_curve(util: np.ndarray) -> np.ndarray:
     point stable.
     """
     u = np.minimum(util, MAX_UTILISATION)
-    return u * u / (1.0 - u)
+    # ``u * u / (1.0 - u)`` with the product written over ``u``: the same
+    # operations on the same values, two buffers instead of four.
+    den = 1.0 - u
+    u *= u
+    u /= den
+    return u
 
 
 def slowdown_curve(util: np.ndarray) -> np.ndarray:

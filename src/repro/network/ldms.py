@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.network.counters import LDMS_COUNTERS
 from repro.topology.dragonfly import DragonflyTopology
 
 
@@ -47,12 +48,15 @@ class LDMSSampler:
             One generator per step (``rng_for("ldms", job, step)``), or
             ``None``, for an optional multiplicative measurement jitter.
         router_rates:
-            Counter names mapped to ``(steps, routers)`` rate matrices.
+            Counter names mapped to ``(steps, routers)`` rate matrices on
+            every router; only the
+            :data:`~repro.network.counters.LDMS_COUNTERS` are read.
 
         Bit-identical to sampling step by step: the role masks depend
         only on the placement so they are computed once, each masked sum
-        reduces the same row values in the same order, and each step's
-        generator draws the same eight lognormals in the same order.
+        reduces the same row values in the same order with the same
+        kernel, and each step's generator draws the same eight
+        lognormals in the same order.
         """
         topo = self.topology
         io_mask = topo.io_router_mask
@@ -60,25 +64,22 @@ class LDMSSampler:
         sys_mask[np.asarray(job_routers)] = False
         sys_mask &= ~io_mask  # io routers are reported in the io group
 
-        shorts = ("RT_FLIT_TOT", "RT_RB_STL", "PT_FLIT_TOT", "PT_PKT_TOT")
-        # One mask gather per counter for the whole block; each gathered
-        # row holds the same values in the same order as the per-step
-        # gather, so the 1-D sums are bit-equal.  Axis-1 gathers come
-        # back Fortran-ordered; force C order so every row reduction
-        # runs the same contiguous kernel as the per-step path.
-        io_sub = {
-            s: np.ascontiguousarray(router_rates[s][:, io_mask]) for s in shorts
-        }
-        sys_sub = {
-            s: np.ascontiguousarray(router_rates[s][:, sys_mask]) for s in shorts
-        }
+        # One gather per role for the whole block, made C-contiguous so
+        # one last-axis sum reduces each (counter, step) row with the
+        # same pairwise kernel as that row's 1-D ``.sum()`` would; then
+        # (steps, 4) Python floats per role.
+        stacked = np.stack([router_rates[s] for s in LDMS_COUNTERS])
+        io_sums = np.ascontiguousarray(stacked[:, :, io_mask]).sum(axis=-1)
+        sys_sums = np.ascontiguousarray(stacked[:, :, sys_mask]).sum(axis=-1)
+        io_rows = io_sums.T.tolist()
+        sys_rows = sys_sums.T.tolist()
         out: list[dict[str, float]] = []
         for i, duration in enumerate(durations):
             rng = rngs[i] if rngs is not None else None
             vals: dict[str, float] = {}
-            for short in shorts:
-                io_val = float(io_sub[short][i].sum()) * duration
-                sys_val = float(sys_sub[short][i].sum()) * duration
+            for j, short in enumerate(LDMS_COUNTERS):
+                io_val = io_rows[i][j] * duration
+                sys_val = sys_rows[i][j] * duration
                 if rng is not None and noise > 0:
                     io_val *= float(rng.lognormal(0.0, noise))
                     sys_val *= float(rng.lognormal(0.0, noise))

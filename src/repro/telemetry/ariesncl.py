@@ -54,42 +54,48 @@ class AriesNCL:
     ) -> list[StepCounters]:
         """Read counters for a block of steps.
 
-        ``router_rates`` maps counter names to ``(steps, routers)`` rate
-        matrices; ``durations`` holds one step length per step.  Each
-        step/counter value sums the rates over the job routers and
-        integrates over the step.  With an ``rng`` and ``noise > 0``,
-        each value gets a multiplicative lognormal measurement jitter
-        (counter reads on Aries are not perfectly aligned with step
-        boundaries).
+        ``router_rates`` maps counter names to ``(steps,
+        len(job_routers))`` rate matrices: the columns of this
+        collector's own routers, in :attr:`job_routers` order (the block
+        synthesis computes nothing else).  ``durations`` holds one step
+        length per step.  Each step/counter value sums the rates over
+        the job routers and integrates over the step.  With an ``rng``
+        and ``noise > 0``, each value gets a multiplicative lognormal
+        measurement jitter (counter reads on Aries are not perfectly
+        aligned with step boundaries).
 
-        Bit-identical to recording step by step: each value is a per-row
-        1-D sum over the job routers, and the jitter is drawn from
-        ``self.rng`` as one step-major batch — numpy's sized
-        ``lognormal`` consumes the stream exactly like per-step scalar
-        draws, in the same (step, counter) order.
+        Bit-identical to recording step by step: the stacked block is
+        C-contiguous, and a last-axis ``sum`` reduces each contiguous
+        row with the same pairwise kernel as that row's 1-D ``.sum()``.
+        The jitter is drawn from ``self.rng`` as one step-major batch —
+        numpy's sized ``lognormal`` consumes the stream exactly like
+        per-step scalar draws, in the same (step, counter) order.
         """
         names = list(router_rates)
-        matrix = counters_to_matrix(router_rates, names)  # (13, B, R)
-        # One gather of the job-router columns for the whole block; each
-        # (counter, step) row of `sub` holds the same values in the same
-        # order as the per-step gather, so the 1-D sums are bit-equal
-        # (C order forced so row reductions use the contiguous kernel).
-        sub = np.ascontiguousarray(matrix[:, :, self.job_routers])
+        matrix = counters_to_matrix(router_rates, names)  # (13, B, R_job)
+        if matrix.shape[-1] != len(self.job_routers):
+            raise ValueError(
+                f"rates have {matrix.shape[-1]} router columns; this "
+                f"collector reads {len(self.job_routers)} job routers"
+            )
+        # (B, 13) Python floats: one reduction for the whole block.
+        sums = matrix.sum(axis=-1).T.tolist()
         n = len(steps)
         if self.rng is not None and self.noise > 0:
             jitter = self.rng.lognormal(
                 mean=0.0, sigma=self.noise, size=n * len(names)
-            ).reshape(n, len(names))
+            ).reshape(n, len(names)).tolist()
         else:
             jitter = None
         out: list[StepCounters] = []
         for i, step in enumerate(steps):
             duration = durations[i]
+            row = sums[i]
             values: dict[str, float] = {}
             for j, name in enumerate(names):
-                value = float(sub[j, i].sum()) * duration
+                value = row[j] * duration
                 if jitter is not None:
-                    value *= float(jitter[i, j])
+                    value *= jitter[i][j]
                 values[name] = value
             sc = StepCounters(step=step, duration=duration, values=values)
             self._steps.append(sc)

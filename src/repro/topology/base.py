@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import abc
 import enum
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
@@ -32,6 +33,20 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ScalePreset
+
+
+@dataclass(frozen=True)
+class RouterLinks:
+    """The links that end at a subset of routers (see
+    :meth:`Topology.router_links`).
+
+    ``links`` lists those link ids in ascending order and ``bins`` gives
+    each one's destination as a position in ``routers``.
+    """
+
+    routers: np.ndarray
+    links: np.ndarray
+    bins: np.ndarray
 
 
 class Topology(abc.ABC):
@@ -139,7 +154,19 @@ class Topology(abc.ABC):
         """
         return np.bincount(self.link_dst, minlength=self.num_routers)
 
-    def router_link_sums(self, per_link: np.ndarray) -> np.ndarray:
+    def router_links(self, routers: np.ndarray) -> RouterLinks:
+        """The links ending at ``routers`` (unique router ids), for
+        :meth:`router_link_sums` over that subset."""
+        routers = np.asarray(routers)
+        pos = np.full(self.num_routers, -1, dtype=np.int64)
+        pos[routers] = np.arange(len(routers))
+        bins = pos[self.link_dst]
+        links = np.flatnonzero(bins >= 0)
+        return RouterLinks(routers=routers, links=links, bins=bins[links])
+
+    def router_link_sums(
+        self, per_link: np.ndarray, subset: RouterLinks | None = None
+    ) -> np.ndarray:
         """Sum a per-link metric into its destination router, batched.
 
         Accepts a ``(links,)`` vector or a ``(steps, links)`` matrix and
@@ -148,9 +175,21 @@ class Topology(abc.ABC):
         the same per-bin FP accumulation order as a per-state bincount,
         so batched and per-step results are bit-identical (unlike
         ``np.add.reduceat``, whose SIMD partial sums reorder the adds).
+
+        With a ``subset`` (:meth:`router_links`) only the subset's links
+        are read and the result has one column per subset router.  Each
+        of those routers' bins sees the same links in the same (link id)
+        order as in the full sum, so its column is bit-equal to the
+        full result's.
         """
-        dst = self.link_dst
-        r = self.num_routers
+        if subset is None:
+            dst = self.link_dst
+            r = self.num_routers
+        else:
+            # ``take`` returns C order, so the ravel below copies nothing.
+            per_link = np.take(per_link, subset.links, axis=-1)
+            dst = subset.bins
+            r = len(subset.routers)
         if per_link.ndim == 1:
             return np.bincount(dst, weights=per_link, minlength=r)
         # One flattened bincount over (step, router) keys: row-major

@@ -10,6 +10,14 @@ that the methods became functions taking the object as their first
 argument (still named ``self``), their callers call them as such, and
 the docstrings are shorter.
 
+The live ``_SegMax`` now keeps per-pass link arrays instead of the
+sorted ``link``/``seg_starts``/``seg_flows`` segments, so its
+constructor and its ``maximum.reduceat`` form are frozen here too
+(:class:`SegMax`, :func:`seg_max_block`).  ``solve_step`` builds its
+four segment sets from ``ctx.routing`` with that copy
+(:func:`segments`, the edge/mid split of ``ProbeRunContext.__init__``)
+instead of reading them from the live context.
+
 ``tests/campaign/test_batched_solver.py`` monkeypatches
 :func:`solve_one_run_reference` in as the campaign's per-run solve
 function and asserts byte-identical datasets.  Do not "modernise" this
@@ -17,6 +25,8 @@ module — its value is that it does not change.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -27,6 +37,70 @@ from repro.network.counters import counters_to_matrix, synthesize_router_counter
 from repro.network.engine import BaseLoad, NetworkState, slowdown_curve
 from repro.telemetry.ariesncl import AriesNCL, StepCounters
 from repro.telemetry.mpip import profile_run
+from repro.topology.routing import Incidence
+
+
+class SegMax:
+    """``_SegMax.__init__``: flows sorted into ``reduceat`` segments."""
+
+    def __init__(
+        self, inc: Incidence, n_flows: int, entry_mask: np.ndarray | None = None
+    ) -> None:
+        if entry_mask is not None:
+            inc = Incidence(
+                inc.flow[entry_mask], inc.link[entry_mask], inc.share[entry_mask]
+            )
+        order = np.argsort(inc.flow, kind="stable")
+        self.link = inc.link[order]
+        flows_sorted = inc.flow[order]
+        if len(flows_sorted):
+            self.seg_starts = np.flatnonzero(
+                np.r_[True, flows_sorted[1:] != flows_sorted[:-1]]
+            )
+            self.seg_flows = flows_sorted[self.seg_starts]
+        else:
+            self.seg_starts = np.empty(0, dtype=np.int64)
+            self.seg_flows = np.empty(0, dtype=np.int64)
+        self.n_flows = n_flows
+
+
+def seg_max_block(self, per_link: np.ndarray) -> np.ndarray:
+    """``_SegMax.block``: ``(steps, links)`` -> ``(steps, flows)`` maxima."""
+    out = np.zeros((per_link.shape[0], self.n_flows))
+    if len(self.link):
+        out[:, self.seg_flows] = np.maximum.reduceat(
+            per_link[:, self.link], self.seg_starts, axis=1
+        )
+    return out
+
+
+_SEGMENTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def segments(ctx) -> tuple[SegMax, SegMax, SegMax, SegMax]:
+    """``(min_edge, min_mid, val_edge, val_mid)`` segment sets of a
+    ``ProbeRunContext``, as its ``__init__`` built them (memoized per
+    context)."""
+    segs = _SEGMENTS.get(ctx)
+    if segs is None:
+        flows = ctx.flows
+        ls, ld = ctx.topology.link_endpoints
+
+        def _edge_mask(inc: Incidence) -> np.ndarray:
+            return (ls[inc.link] == flows.src[inc.flow]) | (
+                ld[inc.link] == flows.dst[inc.flow]
+            )
+
+        m_edge = _edge_mask(ctx.routing.minimal)
+        v_edge = _edge_mask(ctx.routing.valiant)
+        segs = (
+            SegMax(ctx.routing.minimal, len(flows), m_edge),
+            SegMax(ctx.routing.minimal, len(flows), ~m_edge),
+            SegMax(ctx.routing.valiant, len(flows), v_edge),
+            SegMax(ctx.routing.valiant, len(flows), ~v_edge),
+        )
+        _SEGMENTS[ctx] = segs
+    return segs
 
 
 def seg_max(self, per_link: np.ndarray) -> np.ndarray:
@@ -51,13 +125,14 @@ def solve_step(
 
     loads0 = base.link_loads + s * (a0 * self.load_min + (1 - a0) * self.load_val)
     util0 = loads0 / cap
+    seg_min_edge, seg_min_mid, seg_val_edge, seg_val_mid = segments(self)
     u_min = np.maximum(
-        seg_max(self.seg_min_edge, util0),
-        MID_HOP_DISCOUNT * seg_max(self.seg_min_mid, util0),
+        seg_max(seg_min_edge, util0),
+        MID_HOP_DISCOUNT * seg_max(seg_min_mid, util0),
     )
     u_val = np.maximum(
-        seg_max(self.seg_val_edge, util0),
-        MID_HOP_DISCOUNT * seg_max(self.seg_val_mid, util0),
+        seg_max(seg_val_edge, util0),
+        MID_HOP_DISCOUNT * seg_max(seg_val_mid, util0),
     )
     if eng.pinned:
         # Pinned policies fix the split exactly (the UGAL clip band

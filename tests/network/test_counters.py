@@ -107,9 +107,12 @@ def test_stall_counters_rise_with_load(tiny_topo):
 
 def _aggregate(tiny_topo, state, duration, rng=None, noise=0.0):
     """Job-router counter deltas for one step, via a one-row
-    ``AriesNCL.record_steps`` block over routers 0-4."""
-    rates = {k: v[None] for k, v in synthesize_router_counters(state).items()}
+    ``AriesNCL.record_steps`` block over routers 0-4 (their columns)."""
     ncl = AriesNCL(tiny_topo, np.arange(5), rng=rng, noise=noise)
+    rates = {
+        k: v[None, ncl.job_routers]
+        for k, v in synthesize_router_counters(state).items()
+    }
     [sc] = ncl.record_steps([0], [duration], rates)
     return sc.values
 

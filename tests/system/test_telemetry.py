@@ -111,8 +111,12 @@ def test_profile_jitter_reproducible():
 
 
 def _record(ncl, step, state, duration):
-    """One step through ``record_steps`` as a one-row block."""
-    rates = {k: v[None] for k, v in synthesize_router_counters(state).items()}
+    """One step through ``record_steps`` as a one-row block of the
+    collector's own router columns."""
+    rates = {
+        k: v[None, ncl.job_routers]
+        for k, v in synthesize_router_counters(state).items()
+    }
     [sc] = ncl.record_steps([step], [duration], rates)
     return sc
 
