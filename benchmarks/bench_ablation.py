@@ -1,40 +1,12 @@
-"""Extension benches beyond the paper's artefacts (DESIGN.md §7).
+"""Extension bench beyond the paper's artefacts (DESIGN.md §7).
 
-* Forecaster ablation: the paper's attention model vs a GBR-over-windows
-  baseline and a no-learning strawman, on the MILC-128 dataset.
-* Scheduling what-if: quantify §V-A's "delay communication-sensitive
-  jobs" suggestion on the campaign data.
+Scheduling what-if: quantify §V-A's "delay communication-sensitive
+jobs" suggestion on the campaign data.
 """
 
 import pytest
 
-from repro.analysis.baselines import compare_forecasters
 from repro.analysis.whatif import scheduling_whatif
-from repro.ml.attention import AttentionForecaster
-
-
-def _attention(seed=0):
-    return AttentionForecaster(d_model=24, hidden=48, epochs=160, seed=seed)
-
-
-@pytest.mark.paper_artifact("extension:forecaster-ablation")
-def test_forecaster_ablation(once, campaign, fast):
-    ds = campaign["MILC-128"]
-    m, k = (10, 20) if ds.num_steps >= 40 else (4, 8)
-    res = once(
-        compare_forecasters,
-        ds,
-        m=m,
-        k=k,
-        tier="app",
-        n_splits=2,
-        attention_factory=_attention,
-    )
-    print(f"\nforecaster ablation on {ds.key} (m={m}, k={k}): {res.mapes}")
-    assert set(res.mapes) == {"attention", "gbr", "ridge", "mean-target"}
-    # Learned models beat the strawman.
-    learned = min(res.mapes["attention"], res.mapes["gbr"])
-    assert learned <= res.mapes["mean-target"] + 0.5
 
 
 @pytest.mark.paper_artifact("extension:scheduling-whatif")

@@ -12,7 +12,6 @@ through :mod:`repro.features` (one :class:`~repro.features.FeatureStore`
 per dataset), so analyses that share a campaign never rebuild them.
 """
 
-from repro.analysis.baselines import BaselineComparison, compare_forecasters
 from repro.analysis.deviation import DeviationAnalysis, deviation_analysis
 from repro.analysis.routing_ablation import routing_ablation
 from repro.analysis.system_state import forecast_system_channel
@@ -36,8 +35,6 @@ __all__ = [
     "correlated_users_table",
     "DeviationAnalysis",
     "deviation_analysis",
-    "BaselineComparison",
-    "compare_forecasters",
     "scheduling_whatif",
     "routing_ablation",
     "forecast_system_channel",

@@ -45,14 +45,12 @@ class DeviationAnalysis:
 
 
 def default_deviation_estimator() -> Pipeline:
-    # A stepless Pipeline is numerically the bare GBR; going through the
-    # common Estimator surface gives the deviation fits the same
-    # ml.pipeline.* spans/counters as every other model in the stack.
+    # A Pipeline is numerically the bare GBR; it adds the ml.pipeline.*
+    # spans/counters that make every deviation fit observable.
     return Pipeline(
-        [],
         GradientBoostedRegressor(
             n_estimators=60, max_depth=3, learning_rate=0.1, random_state=0
-        ),
+        )
     )
 
 

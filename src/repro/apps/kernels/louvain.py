@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 #: Bytes per cross-partition community update (vertex id + community id +
 #: degree, as miniVite packs them).
@@ -33,14 +32,35 @@ NLPKKT240_VERTICES = 27_993_600
 NLPKKT240_EDGES = 373_239_376
 
 
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """An undirected simple graph as a CSR adjacency.
+
+    ``indices[indptr[v]:indptr[v + 1]]`` are ``v``'s neighbours in
+    ascending order.  Every edge is stored in both directions, once
+    each, and there are no self-loops.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.indptr) - 1
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.indices) // 2
+
+
 def synthetic_kkt_graph(
     n: int, extra_degree: int = 6, rng: np.random.Generator | None = None
-) -> sp.csr_matrix:
+) -> Graph:
     """A 3-D-grid graph with random long-range edges (nlpkkt240 stand-in).
 
     nlpkkt240 arises from a PDE-constrained optimisation on a 3-D mesh, so
     it is locally grid-like with sparse global coupling.  ``n`` is rounded
-    down to a perfect cube.
+    down to a perfect cube.  Duplicate random edges collapse into one.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -65,11 +85,12 @@ def synthetic_kkt_graph(
     cols.append(c[keep])
     r = np.concatenate(rows)
     c = np.concatenate(cols)
-    data = np.ones(len(r))
-    a = sp.coo_matrix((data, (r, c)), shape=(n, n))
-    a = a + a.T
-    a.data[:] = 1.0
-    return a.tocsr()
+    # Row-major keys of both directions; sorted and unique, they are the
+    # CSR entries in order.
+    keys = np.unique(np.concatenate([r * n + c, c * n + r]))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return Graph(indptr=indptr, indices=keys % n)
 
 
 @dataclass
@@ -106,17 +127,17 @@ class LouvainPhaseResult:
         return edges / max(self.num_edges, 1)
 
 
-def _modularity(adj: sp.csr_matrix, communities: np.ndarray, two_m: float) -> float:
-    """Newman modularity of a partition (vectorised)."""
-    rows, cols = adj.nonzero()
-    internal = adj.data[communities[rows] == communities[cols]].sum()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
+def _modularity(
+    rows: np.ndarray, cols: np.ndarray, degrees: np.ndarray, communities: np.ndarray, two_m: float
+) -> float:
+    """Newman modularity of a partition over the edge list ``(rows, cols)``."""
+    internal = np.count_nonzero(communities[rows] == communities[cols])
     comm_deg = np.bincount(communities, weights=degrees)
     return float(internal / two_m - ((comm_deg / two_m) ** 2).sum())
 
 
 def run_louvain_phase(
-    adj: sp.csr_matrix,
+    graph: Graph,
     num_partitions: int,
     max_iterations: int = 12,
     min_moved_fraction: float = 0.01,
@@ -134,12 +155,14 @@ def run_louvain_phase(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    n = adj.shape[0]
+    n = graph.num_vertices
     if num_partitions < 1:
         raise ValueError("num_partitions must be >= 1")
-    indptr, indices = adj.indptr, adj.indices
+    indptr, indices = graph.indptr, graph.indices
     degrees = np.diff(indptr).astype(np.float64)
     two_m = float(degrees.sum())
+    # The edge list (both directions, CSR order) is (rows, indices).
+    rows = np.repeat(np.arange(n), np.diff(indptr))
 
     owner = np.minimum(
         (np.arange(n) * num_partitions) // n, num_partitions - 1
@@ -172,9 +195,8 @@ def run_louvain_phase(
         tr = np.zeros((num_partitions, num_partitions))
         if it == 0:
             # Initial ghost exchange: every cut edge carries one update.
-            rows, cols = adj.nonzero()
-            cut = owner[rows] != owner[cols]
-            np.add.at(tr, (owner[rows[cut]], owner[cols[cut]]), UPDATE_BYTES)
+            cut = owner[rows] != owner[indices]
+            np.add.at(tr, (owner[rows[cut]], owner[indices[cut]]), UPDATE_BYTES)
         tr_l = tr.tolist()
         order = rng.permutation(n)
         for v in order.tolist():
@@ -215,13 +237,13 @@ def run_louvain_phase(
                     row[r] += UPDATE_BYTES
         moved_counts.append(moved)
         traffic.append(np.array(tr_l))
-        modularity.append(_modularity(adj, np.asarray(comm_l), two_m))
+        modularity.append(_modularity(rows, indices, degrees, np.asarray(comm_l), two_m))
         if moved < min_moved_fraction * n:
             break
 
     return LouvainPhaseResult(
         num_vertices=n,
-        num_edges=int(adj.nnz // 2),
+        num_edges=graph.num_edges,
         num_partitions=num_partitions,
         modularity=np.asarray(modularity),
         moved=np.asarray(moved_counts),

@@ -27,13 +27,13 @@ from collections import OrderedDict
 
 from repro.campaign.datasets import Campaign
 from repro.campaign.runner import CampaignConfig, run_campaign
-from repro.obs import METRICS, span
+from repro.obs import METRICS, env_flag, span
 
 _CACHE: "OrderedDict[str, Campaign]" = OrderedDict()
 
 
 def fast_requested() -> bool:
-    return os.environ.get("REPRO_FAST", "0") not in ("0", "", "false")
+    return env_flag("REPRO_FAST", False)
 
 
 def resolve_fast(flag: bool | None = None) -> bool:

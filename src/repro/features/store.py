@@ -46,7 +46,7 @@ from repro.features.windows import (
     validate_window_params,
 )
 from repro.graph.store import atomic_write, guarded_load
-from repro.obs import METRICS, span
+from repro.obs import METRICS, env_flag, span
 
 #: On-disk feature cache format version; folded into the entry path so a
 #: layout change is an automatic miss.
@@ -74,7 +74,7 @@ _LIVE_STORES: "weakref.WeakSet[FeatureStore]" = weakref.WeakSet()
 
 def feature_cache_enabled() -> bool:
     """Disk persistence toggle (``REPRO_FEATURE_CACHE=0`` disables)."""
-    return os.environ.get("REPRO_FEATURE_CACHE", "1") not in ("0", "", "false")
+    return env_flag("REPRO_FEATURE_CACHE", True)
 
 
 class FeatureStore:

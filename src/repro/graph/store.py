@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable
 
 from repro.campaign.datasets import Campaign, FileLock
+from repro.obs import env_flag
 
 #: On-disk artifact format version; folded into the root path so a
 #: layout change is an automatic miss.
@@ -44,7 +45,7 @@ MISS = object()
 
 def artifact_cache_enabled() -> bool:
     """Store toggle (``REPRO_ARTIFACT_CACHE=0`` disables)."""
-    return os.environ.get("REPRO_ARTIFACT_CACHE", "1") not in ("0", "", "false")
+    return env_flag("REPRO_ARTIFACT_CACHE", True)
 
 
 # --------------------------------------------------------------------------- #

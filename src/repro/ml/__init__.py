@@ -12,10 +12,11 @@ Implements exactly what the paper's pipelines need:
 * :mod:`~repro.ml.attention` — the scalar dot-product attention + MLP
   forecaster (§IV-C, Vaswani et al. 2017), trained with Adam
   (:mod:`~repro.ml.nn`);
+* :mod:`~repro.ml.drift` — rolling-retrain drift scoring over streamed
+  shards;
 * :mod:`~repro.ml.pipeline` — the :class:`Estimator` protocol every
-  model satisfies, composable :class:`Pipeline` steps (scaler,
-  windower), and the :func:`make_forecaster` registry that makes GBR,
-  ridge, forest, and attention interchangeable;
+  model satisfies, and the :class:`Pipeline` wrapper that gives the
+  deviation fits their spans and counters;
 * metrics, scalers and CV splitters.
 """
 
@@ -27,20 +28,11 @@ from repro.ml.drift import (
     rolling_drift,
     score_on_shard,
 )
-from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbr import GradientBoostedRegressor
-from repro.ml.linear import RidgeRegressor
 from repro.ml.metrics import mae, mape, r2_score, rmse
 from repro.ml.mi import mutual_information_binary, mutual_information_discrete
 from repro.ml.model_selection import GroupKFold, KFold, train_test_split
-from repro.ml.pipeline import (
-    Estimator,
-    MeanTargetForecaster,
-    Pipeline,
-    ScalerStep,
-    WindowFlattener,
-    make_forecaster,
-)
+from repro.ml.pipeline import Estimator, Pipeline
 from repro.ml.rfe import RFE, relevance_scores
 from repro.ml.scaling import StandardScaler
 from repro.ml.tree import DecisionTreeRegressor
@@ -48,15 +40,9 @@ from repro.ml.tree import DecisionTreeRegressor
 __all__ = [
     "AttentionForecaster",
     "GradientBoostedRegressor",
-    "RandomForestRegressor",
-    "RidgeRegressor",
     "DecisionTreeRegressor",
     "Estimator",
     "Pipeline",
-    "WindowFlattener",
-    "ScalerStep",
-    "MeanTargetForecaster",
-    "make_forecaster",
     "DriftReport",
     "WindowDrift",
     "drift_report",

@@ -50,9 +50,10 @@ def _binned_n_bins(est) -> "int | None":
     """``n_bins`` when ``est`` supports the pre-binned fast path, else
     None.
 
-    A stepless :class:`~repro.ml.pipeline.Pipeline` qualifies through
-    its passthrough (spans/counters preserved); a bare estimator
-    qualifies when it exposes the binned surface and its bin count.
+    A :class:`~repro.ml.pipeline.Pipeline` around a binned estimator
+    qualifies through its passthrough (spans/counters preserved); a bare
+    estimator qualifies when it exposes the binned surface and its bin
+    count.
     """
     if getattr(est, "supports_binned", False):
         return est.estimator.n_bins
@@ -87,8 +88,8 @@ class RFE:
     """Single-pass recursive feature elimination.
 
     Works with any :class:`~repro.ml.pipeline.Estimator` that exposes
-    ``feature_importances_`` (GBR, forest, ridge, or a pipeline around
-    one) — the paper uses GBR.
+    ``feature_importances_`` (GBR, a tree, or a
+    :class:`~repro.ml.pipeline.Pipeline` around one) — the paper uses GBR.
     """
 
     def __init__(

@@ -104,13 +104,6 @@ class Binner:
         sub.edges_ = [self.edges_[int(f)] for f in features]
         return sub
 
-    def bin_upper_value(self, feature: int, bin_idx: int) -> float:
-        """Numeric threshold equivalent of splitting after ``bin_idx``."""
-        edges = self.edges_[feature]
-        if len(edges) == 0:
-            return np.inf
-        return float(edges[min(bin_idx, len(edges) - 1)])
-
 
 class DecisionTreeRegressor:
     """CART regression tree over binned features (squared-error split)."""

@@ -15,7 +15,6 @@ from repro.network.counters import (
     CounterSpec,
     forecast_feature_names,
 )
-from repro.network.dessim import PacketSimulator
 from repro.network.engine import (
     CongestionEngine,
     NetworkState,
@@ -31,7 +30,6 @@ __all__ = [
     "NetworkState",
     "RoutedTraffic",
     "RoutingPolicy",
-    "PacketSimulator",
     "LDMSSampler",
     "CounterSpec",
     "COUNTER_SPECS",

@@ -16,7 +16,7 @@ striped I/O traffic towards LNET routers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -334,16 +334,3 @@ def io_flows(
     vol = np.concatenate([np.full(r, write_vol), np.full(r, read_vol)])
     fs = FlowSet(src, dst, vol, response_ratio)
     return fs.aggregated(topology.num_routers)
-
-
-def pairwise_flows(
-    topology: DragonflyTopology,
-    src_nodes: np.ndarray,
-    dst_nodes: np.ndarray,
-    volumes: np.ndarray,
-    response_ratio: float = 0.08,
-) -> FlowSet:
-    """Arbitrary node-level pairwise traffic (thin public wrapper)."""
-    return node_flows_to_router_flows(
-        topology, src_nodes, dst_nodes, volumes, response_ratio
-    )

@@ -18,11 +18,14 @@ where the time goes.
   ``export`` and ``diff`` CLI subcommands turn the resulting traces
   into viewer files and regression verdicts;
 * :func:`get_logger` / :func:`configure_logging` — the package's single
-  stdlib-logging setup (``REPRO_LOG_LEVEL``).
+  stdlib-logging setup (``REPRO_LOG_LEVEL``);
+* :func:`env_flag` — the one parser of the boolean ``REPRO_*`` toggles
+  (:mod:`repro.obs.env`), shared by every layer.
 
 See ``docs/observability.md`` for the trace schema and workflows.
 """
 
+from repro.obs.env import env_flag
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profile import profile_requested, profiled_span
@@ -58,4 +61,5 @@ __all__ = [
     "trace_requested",
     "get_logger",
     "configure_logging",
+    "env_flag",
 ]

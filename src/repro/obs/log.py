@@ -6,7 +6,8 @@ processes call :func:`configure_logging` once; library use without
 configuration stays silent below WARNING (stdlib last-resort behaviour),
 so tests and imports never spam.
 
-``REPRO_LOG_LEVEL`` picks the level (default INFO once configured).
+``REPRO_LOG_LEVEL`` picks the level (default INFO once configured): a
+standard level name in any case; anything else raises ``ValueError``.
 :func:`configure_logging` exports the chosen level back into the
 environment so campaign worker subprocesses inherit the setting, and
 workers tag every record with ``[w<pid>]`` so interleaved progress lines
@@ -27,6 +28,10 @@ _WORKER_FORMAT = "%(levelname).1s %(name)s [w%(process)d]: %(message)s"
 _ROOT = "repro"
 _CONFIGURED = False
 
+#: The standard level names: what ``logging.getLevelName`` gives for each
+#: standard level, so a name a parent exports always parses in a worker.
+_LEVELS = ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG", "NOTSET")
+
 
 def get_logger(area: str = "") -> logging.Logger:
     """The package logger for an area, e.g. ``get_logger("campaign")``."""
@@ -37,6 +42,17 @@ def logging_configured() -> bool:
     return _CONFIGURED
 
 
+def _parse_level(name: str) -> int:
+    """A standard level name, in any case, as its number; anything else
+    raises ``ValueError`` naming ``REPRO_LOG_LEVEL``."""
+    if name.upper() not in _LEVELS:
+        raise ValueError(
+            f"{LOG_LEVEL_ENV}={name!r} is not a log level; use one of "
+            f"{', '.join(_LEVELS)} (any case)"
+        )
+    return getattr(logging, name.upper())
+
+
 def configure_logging(
     level: "str | int | None" = None, worker: bool = False, force: bool = False
 ) -> logging.Logger:
@@ -45,7 +61,9 @@ def configure_logging(
     Parameters
     ----------
     level:
-        Explicit level; default is ``REPRO_LOG_LEVEL`` (else INFO).
+        Explicit level, a number or a standard name in any case; default
+        is ``REPRO_LOG_LEVEL`` (else INFO).  Any other name raises
+        ``ValueError``.
     worker:
         Use the worker format (``[w<pid>]`` tag) and never re-export the
         level to the environment.
@@ -59,7 +77,7 @@ def configure_logging(
     if level is None:
         level = os.environ.get(LOG_LEVEL_ENV) or "INFO"
     if isinstance(level, str):
-        level = getattr(logging, level.upper(), logging.INFO)
+        level = _parse_level(level)
     for h in list(logger.handlers):
         logger.removeHandler(h)
     handler = logging.StreamHandler()

@@ -49,6 +49,7 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs.env import env_flag
 from repro.obs.metrics import METRICS
 
 #: Env toggles.
@@ -82,15 +83,13 @@ _SINCE_SIZE_CHECK = 0
 
 def profile_requested() -> bool:
     """``REPRO_PROFILE`` truthiness (resource profiling wanted)."""
-    return os.environ.get(PROFILE_ENV, "0") not in ("0", "", "false")
+    return env_flag(PROFILE_ENV, False)
 
 
 def trace_requested() -> bool:
     """Tracing wanted for this invocation (``REPRO_TRACE``, or implied
     by ``REPRO_PROFILE`` — profiled records need a sink to land in)."""
-    if os.environ.get(TRACE_ENV, "0") not in ("0", "", "false"):
-        return True
-    return profile_requested()
+    return env_flag(TRACE_ENV, False) or profile_requested()
 
 
 def trace_dir() -> Path:

@@ -224,24 +224,5 @@ class Topology(abc.ABC):
         mask[self.io_nodes] = False
         return np.flatnonzero(mask)
 
-    # ------------------------------------------------------------------ #
-    # Validation helpers
-    # ------------------------------------------------------------------ #
-
-    def to_networkx(self):
-        """Export the router graph (for validation / tests only)."""
-        import networkx as nx
-
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(range(self.num_routers))
-        src, dst = self.link_endpoints
-        kind = self.link_kind
-        kinds = type(self).link_kinds
-        for lid in range(self.num_links):
-            g.add_edge(
-                int(src[lid]), int(dst[lid]), kind=kinds(int(kind[lid])).name
-            )
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.describe()}>"

@@ -19,7 +19,6 @@ from repro.features import TIERS, build_windows, get_store
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.metrics import mape
 from repro.ml.model_selection import GroupKFold
-from repro.ml.pipeline import make_forecaster
 from repro.ml.rfe import relevance_scores
 from repro.network.counters import APP_COUNTERS
 from tests.features.test_store import _counts
@@ -27,6 +26,23 @@ from tests.features.test_store import _counts
 
 def _fast_gbr():
     return GradientBoostedRegressor(n_estimators=8, max_depth=2, random_state=0)
+
+
+class _LeastSquaresForecaster:
+    """Closed-form least squares on flattened (m, H) windows: a cheap,
+    deterministic stand-in for the attention forecaster."""
+
+    @staticmethod
+    def _design(x):
+        flat = np.asarray(x, dtype=np.float64).reshape(len(x), -1)
+        return np.column_stack([flat, np.ones(len(flat))])
+
+    def fit(self, x, y):
+        self.coef_ = np.linalg.lstsq(self._design(x), y, rcond=None)[0]
+        return self
+
+    def predict(self, x):
+        return self._design(x) @ self.coef_
 
 
 @pytest.fixture(autouse=True)
@@ -89,12 +105,12 @@ def test_fig10_path_matches_legacy_inline(milc):
     """forecast_mape == the pre-refactor windows + grouped-CV loop."""
     m, k, n_splits, seed = 4, 3, 2, 0
 
-    def ridge(fold_seed):
-        return make_forecaster("ridge")
+    def least_squares(fold_seed):
+        return _LeastSquaresForecaster()
 
     res = forecast_mape(
         milc, m, k, tier="app+placement", n_splits=n_splits, seed=seed,
-        model_factory=ridge,
+        model_factory=least_squares,
     )
 
     x, y, groups = build_windows(milc.features(placement=True), milc.Y, m, k)
@@ -102,7 +118,7 @@ def test_fig10_path_matches_legacy_inline(milc):
     for fold, (train, test) in enumerate(
         GroupKFold(n_splits=n_splits, seed=seed).split(groups)
     ):
-        model = ridge(seed + fold)
+        model = least_squares(seed + fold)
         model.fit(x[train], y[train])
         per_fold.append(mape(y[test], model.predict(x[test])))
     assert res.per_fold == per_fold
@@ -123,7 +139,7 @@ def test_warm_experiment_pass_rebuilds_nothing(tiny_campaign, monkeypatch):
     # bodies resolve the factory from _forecast_common at call time, so
     # one patch covers every figure.
     def cheap(seed=0):
-        return make_forecaster("ridge")
+        return _LeastSquaresForecaster()
 
     monkeypatch.setattr(_forecast_common, "fast_forecaster", cheap)
 

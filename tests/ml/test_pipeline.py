@@ -1,147 +1,58 @@
-"""Estimator protocol, pipeline composition, and the forecaster registry."""
+"""The Estimator protocol and the instrumented Pipeline wrapper."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.ml.attention import AttentionForecaster
 from repro.ml.gbr import GradientBoostedRegressor
-from repro.ml.linear import RidgeRegressor
-from repro.ml.pipeline import (
-    Estimator,
-    MeanTargetForecaster,
-    Pipeline,
-    ScalerStep,
-    Transform,
-    WindowFlattener,
-    make_forecaster,
-)
+from repro.ml.pipeline import Estimator, Pipeline
+from repro.obs import METRICS
 
 
-def _windows(n=40, m=3, h=5, seed=0):
+def _rows(n=60, h=4, seed=0):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(n, m, h))
-    y = x[:, :, 0].sum(axis=1) + 0.1 * rng.normal(size=n)
+    x = rng.normal(size=(n, h))
+    y = x[:, 0] + 0.1 * rng.normal(size=n)
     return x, y
 
 
-# --------------------------------------------------------------------- #
-# WindowFlattener
-# --------------------------------------------------------------------- #
-
-
-def test_flattener_shapes_and_layout():
-    x, _ = _windows()
-    flat = WindowFlattener().fit(x).transform(x)
-    assert flat.shape == (40, 15)
-    np.testing.assert_array_equal(flat[0], x[0].ravel())
-
-
-def test_flattener_rejects_flat_input():
-    with pytest.raises(ValueError, match=r"\(n, m, H\)"):
-        WindowFlattener().fit(np.zeros((10, 15)))
-
-
-def test_flattener_folds_importances_per_channel():
-    x, _ = _windows(m=3, h=5)
-    fl = WindowFlattener().fit(x)
-    imp = np.arange(15, dtype=float)  # (m*H,) as an estimator reports it
-    folded = fl.fold_importances(imp)
-    np.testing.assert_array_equal(folded, imp.reshape(3, 5).sum(axis=0))
-
-
-def test_flattener_unfitted_fold_raises():
-    with pytest.raises(RuntimeError):
-        WindowFlattener().fold_importances(np.zeros(15))
-
-
-# --------------------------------------------------------------------- #
-# ScalerStep / Pipeline
-# --------------------------------------------------------------------- #
-
-
-def test_scaler_step_standardises():
-    rng = np.random.default_rng(0)
-    x = rng.normal(5.0, 3.0, size=(200, 4))
-    z = ScalerStep().fit(x).transform(x)
-    np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=1e-9)
-    np.testing.assert_allclose(z.std(axis=0), 1.0, atol=1e-9)
-
-
 def test_pipeline_equals_manual_composition():
-    x, y = _windows()
-    pipe = Pipeline([WindowFlattener()], RidgeRegressor(alpha=1.0)).fit(x, y)
-    manual = RidgeRegressor(alpha=1.0).fit(x.reshape(len(x), -1), y)
-    np.testing.assert_allclose(
-        pipe.predict(x), manual.predict(x.reshape(len(x), -1))
+    """A pipeline predicts exactly what its bare estimator does, and
+    counts the fit."""
+    x, y = _rows()
+    fits = METRICS.counter("ml.pipeline.fits")
+    before = fits.value
+    pipe = Pipeline(GradientBoostedRegressor(n_estimators=8, random_state=0))
+    assert pipe.fit(x, y) is pipe
+    assert fits.value == before + 1
+    bare = GradientBoostedRegressor(n_estimators=8, random_state=0).fit(x, y)
+    np.testing.assert_array_equal(pipe.predict(x), bare.predict(x))
+    np.testing.assert_array_equal(
+        pipe.feature_importances_, bare.feature_importances_
     )
 
 
-def test_pipeline_importances_fold_to_channels():
-    x, y = _windows(m=3, h=5)
-    pipe = Pipeline(
-        [WindowFlattener()],
-        GradientBoostedRegressor(n_estimators=20, max_depth=2, random_state=0),
-    ).fit(x, y)
-    imp = pipe.feature_importances_
-    assert imp.shape == (5,)
-    assert imp.sum() == pytest.approx(1.0)
-    # Channel 0 drives the target.
-    assert int(np.argmax(imp)) == 0
-
-
 def test_pipeline_without_importances_raises():
-    x, y = _windows()
-    pipe = Pipeline([WindowFlattener()], MeanTargetForecaster()).fit(x, y)
-    with pytest.raises(AttributeError):
+    class NoImportances:
+        def fit(self, x, y):
+            return self
+
+        def predict(self, x):
+            return np.zeros(len(x))
+
+    x, y = _rows()
+    pipe = Pipeline(NoImportances()).fit(x, y)
+    with pytest.raises(AttributeError, match="NoImportances"):
         pipe.feature_importances_
 
 
 def test_protocol_runtime_checks():
-    assert isinstance(Pipeline([], RidgeRegressor()), Estimator)
-    assert isinstance(MeanTargetForecaster(), Estimator)
-    assert isinstance(WindowFlattener(), Transform)
-    assert isinstance(ScalerStep(), Transform)
+    assert isinstance(Pipeline(GradientBoostedRegressor()), Estimator)
+    assert isinstance(GradientBoostedRegressor(), Estimator)
+    assert isinstance(AttentionForecaster(), Estimator)
     assert not isinstance(object(), Estimator)
-
-
-# --------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------- #
-
-
-def test_make_forecaster_registry():
-    x, y = _windows()
-    for name in ("gbr", "forest", "ridge", "mean-target"):
-        model = make_forecaster(name, seed=0)
-        assert isinstance(model, Estimator)
-        pred = model.fit(x, y).predict(x)
-        assert pred.shape == (len(x),)
-
-
-def test_make_forecaster_attention():
-    from repro.ml.attention import AttentionForecaster
-
-    model = make_forecaster("attention", seed=3, d_model=8, hidden=16, epochs=5)
-    assert isinstance(model, AttentionForecaster)
-
-
-def test_make_forecaster_unknown_name():
-    with pytest.raises(ValueError, match="unknown forecaster"):
-        make_forecaster("oracle")
-
-
-def test_make_forecaster_is_deterministic():
-    x, y = _windows()
-    a = make_forecaster("gbr", seed=0).fit(x, y).predict(x)
-    b = make_forecaster("gbr", seed=0).fit(x, y).predict(x)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_mean_target_forecaster():
-    x, y = _windows()
-    pred = MeanTargetForecaster().fit(x, y).predict(x[:7])
-    np.testing.assert_allclose(pred, y.mean())
 
 
 # --------------------------------------------------------------------- #
@@ -150,10 +61,8 @@ def test_mean_target_forecaster():
 
 
 def test_supports_binned_only_for_stepless_binned_estimator():
-    gbr = GradientBoostedRegressor(n_estimators=5)
-    assert Pipeline([], gbr).supports_binned
-    assert not Pipeline([ScalerStep()], gbr).supports_binned
-    assert not Pipeline([], RidgeRegressor()).supports_binned
+    assert Pipeline(GradientBoostedRegressor(n_estimators=5)).supports_binned
+    assert not Pipeline(AttentionForecaster()).supports_binned
 
 
 def test_binned_passthrough_matches_plain_fit():
@@ -162,22 +71,11 @@ def test_binned_passthrough_matches_plain_fit():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(150, 4))
     y = x[:, 0] + 0.1 * rng.normal(size=150)
-    plain = Pipeline([], GradientBoostedRegressor(n_estimators=8, random_state=1))
+    plain = Pipeline(GradientBoostedRegressor(n_estimators=8, random_state=1))
     plain.fit(x, y)
     binner = Binner(64).fit(x)
-    via = Pipeline([], GradientBoostedRegressor(n_estimators=8, random_state=1))
+    via = Pipeline(GradientBoostedRegressor(n_estimators=8, random_state=1))
     via.fit_binned(binner.transform(x), y, binner)
     np.testing.assert_array_equal(
         plain.predict(x), via.predict_binned(binner.transform(x))
     )
-
-
-def test_binned_passthrough_rejects_stepped_pipeline():
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(30, 3))
-    y = rng.normal(size=30)
-    p = Pipeline([ScalerStep()], GradientBoostedRegressor(n_estimators=3))
-    with pytest.raises(RuntimeError, match="stepless"):
-        p.fit_binned(x.astype(np.uint8), y, None)
-    with pytest.raises(RuntimeError, match="stepless"):
-        p.predict_binned(x.astype(np.uint8))

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.config import TINY
-from repro.network.dessim import PACKET_BYTES, PacketSimulator
 from repro.network.engine import CongestionEngine
 from repro.network.traffic import FlowSet, router_alltoall_flows
 from repro.topology.dragonfly import DragonflyTopology
+from tests.network.dessim import PACKET_BYTES, PacketSimulator
 
 
 @pytest.fixture(scope="module")

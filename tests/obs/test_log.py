@@ -73,3 +73,26 @@ def test_worker_mirrors_parent_level_with_pid_tag(pristine_logging, monkeypatch)
     (handler,) = logger.handlers
     rec = logger.makeRecord("repro.campaign", logging.INFO, "f", 1, "hi", (), None)
     assert f"[w{os.getpid()}]" in handler.format(rec)
+
+
+@pytest.mark.parametrize("value", ["LOUD", "basic_format"])
+def test_unknown_env_level_raises_naming_the_knob(
+    pristine_logging, monkeypatch, value
+):
+    """Not a level: no silent INFO, no crash inside ``setLevel``."""
+    monkeypatch.setenv(obslog.LOG_LEVEL_ENV, value)
+    with pytest.raises(ValueError, match=f"REPRO_LOG_LEVEL='{value}'"):
+        obslog.configure_logging()
+    assert not obslog.logging_configured()
+    assert not obslog.get_logger().handlers
+
+
+@pytest.mark.parametrize(
+    "name", ["CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG", "NOTSET"]
+)
+def test_worker_parses_every_exported_level(pristine_logging, name):
+    level = getattr(logging, name)
+    obslog.configure_logging(level=level)
+    assert os.environ[obslog.LOG_LEVEL_ENV] == name
+    obslog.configure_worker_logging()
+    assert obslog.get_logger().level == level

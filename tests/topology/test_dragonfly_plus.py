@@ -156,13 +156,6 @@ def test_validation():
         DragonflyPlusTopology(groups=2, leaf_size=2, spine_size=2, io_groups=3)
 
 
-def test_to_networkx(plus_topo):
-    pytest.importorskip("networkx")
-    g = plus_topo.to_networkx()
-    assert g.number_of_nodes() == plus_topo.num_routers
-    assert g.number_of_edges() == plus_topo.num_links
-
-
 def test_leaf_fast_path_matches_general_expansion(plus_topo, monkeypatch):
     """Leaf-only routing (the fast path) emits the exact same incidence
     triplets, in the same order, as the general per-case expansion."""
