@@ -16,11 +16,10 @@ See README.md for a tour and DESIGN.md for the system inventory.
 
 __version__ = "1.0.0"
 
-from repro.config import CORI, SMALL, TINY, ReproConfig, ScalePreset, rng_for
+from repro.config import CORI, SMALL, TINY, ScalePreset, rng_for
 
 __all__ = [
     "__version__",
-    "ReproConfig",
     "ScalePreset",
     "rng_for",
     "TINY",

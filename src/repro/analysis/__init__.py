@@ -20,7 +20,6 @@ from repro.analysis.forecasting import (
     ForecastResult,
     build_windows,
     forecast_mape,
-    forecasting_feature_importances,
     long_run_forecast,
 )
 from repro.analysis.neighborhood import (
@@ -41,6 +40,5 @@ __all__ = [
     "ForecastResult",
     "build_windows",
     "forecast_mape",
-    "forecasting_feature_importances",
     "long_run_forecast",
 ]

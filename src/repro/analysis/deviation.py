@@ -7,15 +7,13 @@ Fig. 7 mean trends), and a GBR model predicts the *deviation*; RFE with
 the prediction MAPE (< 5% on all datasets) on the reconstructed times.
 
 The flattened mean-centered views come from the dataset's
-:class:`~repro.features.FeatureStore`, so repeated analyses (Fig. 9, the
-cheap MAPE check, benchmarks) share one construction.
+:class:`~repro.features.FeatureStore`, so repeated analyses (Fig. 9,
+benchmarks) share one construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.campaign.datasets import RunDataset
 from repro.features import get_store
@@ -87,23 +85,3 @@ def deviation_analysis(
             workers=workers,
         )
     return DeviationAnalysis(key=ds.key, relevance=relevance)
-
-
-def deviation_prediction_mape(
-    ds: RunDataset, n_splits: int = 10, seed: int = 0, max_samples: int = 4000
-) -> float:
-    """Just the CV prediction MAPE, without the RFE sweep (cheap check)."""
-    from repro.ml.metrics import mape
-    from repro.ml.model_selection import KFold
-
-    x, y, offsets = get_store(ds).flat_mean_centered()
-    if len(x) > max_samples:
-        pick = np.random.default_rng(seed).choice(len(x), max_samples, replace=False)
-        x, y, offsets = x[pick], y[pick], offsets[pick]
-    errs = []
-    for train, test in KFold(n_splits=n_splits, seed=seed).split(len(x)):
-        est = default_deviation_estimator()
-        est.fit(x[train], y[train])
-        pred = est.predict(x[test])
-        errs.append(mape(y[test] + offsets[test], pred + offsets[test]))
-    return float(np.mean(errs))

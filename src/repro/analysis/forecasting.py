@@ -26,7 +26,6 @@ from repro.ml.attention import AttentionForecaster, permutation_importance
 from repro.ml.metrics import mape
 from repro.ml.model_selection import GroupKFold
 from repro.obs import span
-from repro.parallel import effective_workers, parallel_map
 
 __all__ = [
     "TIERS",
@@ -35,10 +34,8 @@ __all__ = [
     "LongRunForecast",
     "default_forecaster",
     "forecast_mape",
-    "ablation_grid",
     "fit_forecaster",
     "model_importances",
-    "forecasting_feature_importances",
     "segment_forecast",
     "long_run_forecast",
 ]
@@ -76,10 +73,9 @@ def _score_windows(
 ) -> ForecastResult:
     """Score one (m, k, tier) cell's window tensors under grouped CV.
 
-    Top-level so the ablation grid can ship cells to pool workers; the
-    window tensors are built in the parent (they come from the dataset's
-    memoized FeatureStore) and travel with the task, so a cell's result
-    is a pure function of its arguments.
+    A cell's result is a pure function of its arguments: the window
+    tensors come from the dataset's memoized FeatureStore, and each fold
+    seeds its model from ``seed + fold``.
     """
     with span(
         "analysis.forecast", dataset=key, m=m, k=k, tier=tier_name,
@@ -118,50 +114,6 @@ def forecast_mape(
     return _score_windows(
         ds.key, m, k, spec.name, x, y, groups, n_splits, seed, model_factory
     )
-
-
-def ablation_grid(
-    ds: RunDataset,
-    ms: list[int],
-    ks: list[int],
-    tiers: "list[str | FeatureSpec]",
-    n_splits: int = 3,
-    seed: int = 0,
-    model_factory=default_forecaster,
-    workers: int | None = None,
-) -> list[ForecastResult]:
-    """The full Fig. 8 / Fig. 10 grid for one dataset.
-
-    Context lengths are aligned (``align_m = max(ms)``) so every cell
-    predicts the same instants from the same number of samples.
-
-    The (m, k, tier) cells are independent and fan out over
-    :mod:`repro.parallel` when ``workers`` (or ``REPRO_WORKERS``) asks
-    for it.  Window tensors are built here in the parent — sequentially,
-    against the dataset's memoized FeatureStore — and each cell seeds its
-    models from the cell coordinates alone, so results are bit-identical
-    for any worker count and arrive in grid order.  ``model_factory``
-    must be picklable (a module-level callable) when ``workers > 1``.
-    """
-    align = max(ms)
-    specs = [FeatureSpec.resolve(t) for t in tiers]
-    store = get_store(ds)
-    tasks = []
-    for k in ks:
-        for m in ms:
-            for spec in specs:
-                x, y, groups = store.windows(spec, m, k, align_m=align)
-                tasks.append(
-                    (ds.key, m, k, spec.name, x, y, groups, n_splits, seed,
-                     model_factory)
-                )
-    with span(
-        "analysis.ablation_grid",
-        dataset=ds.key,
-        cells=len(tasks),
-        workers=effective_workers(workers),
-    ):
-        return parallel_map(_score_windows, tasks, workers=workers)
 
 
 def fit_forecaster(
@@ -210,23 +162,6 @@ def model_importances(
         )
     s = imp.sum()
     return names, imp / s if s > 0 else imp
-
-
-def forecasting_feature_importances(
-    ds: RunDataset,
-    m: int,
-    k: int,
-    tier: "str | FeatureSpec",
-    seed: int = 0,
-    model_factory=default_forecaster,
-) -> tuple[list[str], np.ndarray]:
-    """Fig. 11: permutation importances of the forecasting model.
-
-    Trained on all runs; importances are MAPE degradation when one feature
-    channel is shuffled (normalised to sum to 1).
-    """
-    model = fit_forecaster(ds, m, k, tier, seed=seed, model_factory=model_factory)
-    return model_importances(model, ds, m, k, tier, seed=seed)
 
 
 @dataclass

@@ -47,16 +47,3 @@ def halo_surface_bytes(
     surfaces = total // shape  # sites on the face orthogonal to each dim
     width = np.minimum(ghost_width, shape)
     return surfaces.astype(np.float64) * width * bytes_per_site
-
-
-def halo_messages_per_exchange(ndim: int) -> int:
-    """Point-to-point messages per rank per exchange (2 per dimension)."""
-    if ndim < 1:
-        raise ValueError("ndim must be >= 1")
-    return 2 * ndim
-
-
-def mean_message_size(per_dim_bytes: np.ndarray) -> float:
-    """Volume-weighted mean message size over the face exchanges."""
-    per_dim_bytes = np.asarray(per_dim_bytes, dtype=np.float64)
-    return float(per_dim_bytes.mean())

@@ -92,20 +92,3 @@ class SweepSchedule:
         """
         work_stages = self.octants * max(self.process_grid)
         return work_stages / (work_stages + self.critical_path_stages)
-
-    def wavefront_sizes(self, octant: int = 0) -> np.ndarray:
-        """Number of ranks active at each stage of one octant's sweep.
-
-        The wavefront is the set of grid points with constant coordinate
-        sum (after orienting axes along the octant's sweep direction).
-        """
-        px, py, pz = self.process_grid
-        coords = np.array(
-            np.meshgrid(np.arange(px), np.arange(py), np.arange(pz), indexing="ij")
-        ).reshape(3, -1)
-        # Orient each axis by the octant's direction bits.
-        for dim in range(3):
-            if (octant >> dim) & 1:
-                coords[dim] = self.process_grid[dim] - 1 - coords[dim]
-        depth = coords.sum(axis=0)
-        return np.bincount(depth, minlength=self.stages_per_octant + 1)

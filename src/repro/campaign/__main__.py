@@ -13,9 +13,27 @@ import sys
 
 from repro.campaign.inspect import render_summary, summarize_campaign
 from repro.campaign.runner import CampaignConfig, run_campaign
-from repro.obs import configure_logging, get_logger
+from repro.config import apply_workers_flag
+from repro.obs import configure_logging, ensure_run, get_logger
 
 _LOG = get_logger("campaign")
+
+
+def _resolve_knobs(parser: argparse.ArgumentParser, workers, *readers) -> None:
+    """Read every ``REPRO_*`` value knob the run uses, before any work.
+
+    A bad value ends the CLI as a usage error (exit 2) naming the knob,
+    not as a traceback from the middle of a run.  ``--workers N`` is
+    applied to the whole invocation here.
+    """
+    try:
+        configure_logging()
+        apply_workers_flag(workers)
+        for read in readers:
+            read()
+        ensure_run()
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _resolve_axis(parser: argparse.ArgumentParser, args) -> dict:
@@ -107,21 +125,28 @@ def stream_main(argv: list[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes (0 = all cores; overrides REPRO_WORKERS)",
+        help="worker processes for generation and the drift stages "
+        "(0 = all cores; overrides REPRO_WORKERS)",
     )
     _axis_arguments(parser)
     args = parser.parse_args(argv)
-    configure_logging()
+    readers = ()
+    if args.drift or args.explain or args.check_incremental:
+        # The drift DAG runs over the artifact and feature stores.
+        from repro.experiments.context import resolve_fast
+        from repro.features.store import feature_cache_enabled
+        from repro.graph.store import artifact_cache_enabled
+
+        readers = (
+            lambda: resolve_fast(args.fast),
+            artifact_cache_enabled,
+            feature_cache_enabled,
+        )
+    _resolve_knobs(parser, args.workers, *readers)
     axis = _resolve_axis(parser, args)
     cfg = (
         CampaignConfig.tiny(**axis) if args.fast else CampaignConfig.small(**axis)
     )
-    if args.workers is not None:
-        import dataclasses
-        import os
-
-        os.environ.pop("REPRO_WORKERS", None)
-        cfg = dataclasses.replace(cfg, workers=args.workers)
 
     from repro.campaign.streaming import StreamConfig, render_stream, run_stream
 
@@ -161,9 +186,7 @@ def stream_main(argv: list[str]) -> int:
     if args.drift:
         from repro.experiments.stream_drift import stream_drift
 
-        result = stream_drift(
-            campaign, keys=keys, fast=args.fast, workers=args.workers
-        )
+        result = stream_drift(campaign, keys=keys, fast=args.fast)
         print(result.render())
     return 0
 
@@ -202,17 +225,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     _axis_arguments(parser)
     args = parser.parse_args(argv)
-    configure_logging()
+    _resolve_knobs(parser, args.workers)
     axis = _resolve_axis(parser, args)
     cfg = (
         CampaignConfig.tiny(**axis) if args.fast else CampaignConfig.small(**axis)
     )
-    if args.workers is not None:
-        import dataclasses
-        import os
-
-        os.environ.pop("REPRO_WORKERS", None)
-        cfg = dataclasses.replace(cfg, workers=args.workers)
     if args.regenerate:
         # Drop the cached entry (under the saver lock, so a concurrent
         # generator isn't pulled out from under) and regenerate; the

@@ -153,8 +153,8 @@ class RunDataset:
     Streamed datasets additionally carry ``shard_views`` (the ordered
     per-window :class:`RunDataset` shards, each stamped with its own
     window-campaign fingerprint) and ``shard_fingerprints`` — set by
-    :mod:`repro.campaign.streaming`, read by the feature store's
-    incremental-append path.
+    :mod:`repro.campaign.streaming`, read by the shard-scoped graph
+    stages (:func:`repro.campaign.streaming.shard_view`).
     """
 
     key: str

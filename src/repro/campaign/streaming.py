@@ -32,8 +32,9 @@ manifest persisted under ``<cache>/streams/<stream fp>.json``.
 
 The combined per-key dataset concatenates the shard runs (start times
 offset by the window origin, run indices renumbered) and carries the
-shard views for the feature store's incremental-append path and for
-shard-scoped graph stages (:func:`shard_view`).
+shard views for the shard-scoped graph stages (:func:`shard_view`).
+Features of a combined dataset come from the ordinary monolithic build,
+keyed by the stream fingerprint.
 """
 
 from __future__ import annotations

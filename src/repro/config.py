@@ -23,7 +23,7 @@ streams of existing consumers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -129,13 +129,9 @@ _PRESETS = {p.name: p for p in (TINY, SMALL, CORI)}
 
 
 def get_preset(name: str | None = None) -> ScalePreset:
-    """Look up a scale preset by name.
-
-    When ``name`` is None, the ``REPRO_SCALE`` environment variable is
-    consulted, defaulting to ``small``.
-    """
+    """Look up a scale preset by name (``None`` is ``small``)."""
     if name is None:
-        name = os.environ.get("REPRO_SCALE", "small")
+        name = "small"
     try:
         return _PRESETS[name]
     except KeyError:
@@ -196,7 +192,8 @@ def resolve_workers(requested: int | None = None) -> int:
     """Resolve the campaign worker-process count.
 
     Precedence: the ``REPRO_WORKERS`` environment variable (so a CI job or
-    benchmark invocation can override any config without code changes),
+    benchmark invocation can override any config without code changes;
+    a CLI's ``--workers N`` sets it, see :func:`apply_workers_flag`),
     then ``requested`` (the ``CampaignConfig.workers`` field), then 1
     (in-process serial execution).  A value ``<= 0`` means "all cores".
 
@@ -219,12 +216,15 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-@dataclass
-class ReproConfig:
-    """Top-level knobs shared by campaign and experiment drivers."""
+def apply_workers_flag(flag: int | None) -> int:
+    """Apply a CLI's ``--workers N`` to the whole invocation.
 
-    scale: ScalePreset = field(default_factory=get_preset)
-    seed: int = DEFAULT_SEED
-
-    def rng(self, *stream: object) -> np.random.Generator:
-        return rng_for(*stream, seed=self.seed)
+    The flag beats an inherited ``REPRO_WORKERS``: it is written into the
+    environment, so campaign generation, the stage pool and every other
+    fan-out point resolve the same count through :func:`resolve_workers`.
+    Returns the resolved count; raises ``ValueError`` on a bad inherited
+    ``REPRO_WORKERS`` when no flag is given.
+    """
+    if flag is not None:
+        os.environ["REPRO_WORKERS"] = str(flag)
+    return resolve_workers()

@@ -14,14 +14,18 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.config import apply_workers_flag
 from repro.experiments import (
     EXPERIMENTS,
     PAPER_EXPERIMENTS,
     explain_experiments,
     run_experiments,
 )
+from repro.experiments.context import resolve_fast
 from repro.experiments.export import ExportError, export_result
-from repro.obs import configure_logging
+from repro.features.store import feature_cache_enabled
+from repro.graph.store import artifact_cache_enabled
+from repro.obs import configure_logging, ensure_run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,7 +59,9 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for stage execution (default: auto)",
+        help="worker processes for campaign generation and stage "
+        "execution (0 = all cores; overrides REPRO_WORKERS; default: "
+        "REPRO_WORKERS, else 1)",
     )
     parser.add_argument(
         "--export",
@@ -64,7 +70,17 @@ def main(argv: list[str] | None = None) -> int:
         help="also write JSON/CSV/TXT result files into DIR",
     )
     args = parser.parse_args(argv)
-    configure_logging()
+    try:
+        # Every REPRO_* value knob the run reads, before any work: a bad
+        # one is a usage error naming it, not a traceback mid-run.
+        configure_logging()
+        apply_workers_flag(args.workers)
+        resolve_fast(args.fast)
+        artifact_cache_enabled()
+        feature_cache_enabled()
+        ensure_run()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.experiment == "all":
         ids = sorted(PAPER_EXPERIMENTS)
     else:
@@ -84,9 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.explain:
         print(explain_experiments(ids, fast=args.fast, force=args.force))
         return 0
-    results = run_experiments(
-        ids, fast=args.fast, workers=args.workers, force=args.force
-    )
+    results = run_experiments(ids, fast=args.fast, force=args.force)
     rc = 0
     for exp_id in ids:
         result = results[exp_id]

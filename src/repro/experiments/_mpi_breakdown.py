@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.campaign.datasets import Campaign, RunDataset
+from repro.campaign.datasets import RunDataset
 from repro.experiments.report import ascii_table
 from repro.graph import stage_fn
 
@@ -81,16 +81,6 @@ def render_breakdown(stats: dict) -> str:
     return (
         f"{stats['key']}  (mean MPI fraction: {stats['mpi_fraction']:.0%})\n{table}"
     )
-
-
-def run_breakdowns(camp: Campaign, keys: list[str]) -> tuple[dict, str]:
-    data = {}
-    blocks = []
-    for key in keys:
-        stats = mpi_breakdown(camp[key])
-        data[key] = stats
-        blocks.append(render_breakdown(stats))
-    return data, "\n\n".join(blocks)
 
 
 @stage_fn(version=1)

@@ -8,12 +8,8 @@ The campaign scale follows ``fast`` and the ``REPRO_FAST`` environment
 * ``REPRO_FAST=1`` or ``fast=True`` — the test-scale campaign, for smoke
   runs of the full pipeline.
 
-``REPRO_SCALE`` does not pick the campaign scale: both campaign configs
-name their preset explicitly.  Only :func:`repro.config.get_preset`
-reads it, for topologies built with ``preset=None``.
-
 The in-process campaign cache is bounded (LRU over
-:func:`campaign_cache_size` entries, default 2) and keyed by
+:data:`_CACHE_CAP` = 2 entries) and keyed by
 ``CampaignConfig.fingerprint()`` — the same fingerprint that roots each
 dataset's :class:`~repro.features.FeatureStore` entries, so evicting a
 campaign releases its derived-feature memos with it (they live on the
@@ -22,7 +18,6 @@ dataset objects).  :func:`clear_cache` drops both layers explicitly.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 from repro.campaign.datasets import Campaign
@@ -30,6 +25,8 @@ from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.obs import METRICS, env_flag, span
 
 _CACHE: "OrderedDict[str, Campaign]" = OrderedDict()
+#: Campaigns kept in process; the least recently used one goes first.
+_CACHE_CAP = 2
 
 
 def fast_requested() -> bool:
@@ -45,23 +42,6 @@ def resolve_fast(flag: bool | None = None) -> bool:
     var a default.
     """
     return bool(flag) or fast_requested()
-
-
-def campaign_cache_size() -> int:
-    """Max campaigns kept in process (``REPRO_CAMPAIGN_CACHE_SIZE``).
-
-    Raises ValueError when the variable is set to a non-integer.
-    """
-    raw = os.environ.get("REPRO_CAMPAIGN_CACHE_SIZE", "").strip()
-    if not raw:
-        return 2
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_CAMPAIGN_CACHE_SIZE must be an integer, got {raw!r}"
-        ) from None
-    return max(1, size)
 
 
 def clear_cache() -> None:
@@ -102,12 +82,11 @@ def get_campaign(
         METRICS.counter("experiments.campaign.memo_hits").inc()
         _CACHE.move_to_end(key)
         return _CACHE[key]
-    capacity = campaign_cache_size()  # a bad value fails before generation
     with span("experiments.get_campaign", fingerprint=key) as sp:
         camp = run_campaign(cfg)
         sp.set(datasets=len(list(camp.keys())))
     _CACHE[key] = camp
-    while len(_CACHE) > capacity:
+    while len(_CACHE) > _CACHE_CAP:
         _CACHE.popitem(last=False)
     return camp
 

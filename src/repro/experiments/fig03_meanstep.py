@@ -72,9 +72,3 @@ def build(g: Graph, ctx, exp_id: str = "fig03") -> str:
         kind="render",
         local=True,
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig03", campaign=campaign, fast=fast)

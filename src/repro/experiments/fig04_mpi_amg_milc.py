@@ -8,7 +8,6 @@ Isend/Irecv; large best-to-worst spread in MPI time, stable compute time.
 from __future__ import annotations
 
 from repro.experiments._mpi_breakdown import build_mpi
-from repro.experiments.report import ExperimentResult
 from repro.graph import Graph
 
 
@@ -20,9 +19,3 @@ def build(g: Graph, ctx, exp_id: str = "fig04") -> str:
         title="Compute/MPI split and routine breakdown, AMG & MILC @512 (Fig. 4)",
         keys=["AMG-512", "MILC-512"],
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig04", campaign=campaign, fast=fast)

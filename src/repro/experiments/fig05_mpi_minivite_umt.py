@@ -7,7 +7,6 @@ concentrated in Wait/Barrier/Allreduce with high worst/best spread.
 from __future__ import annotations
 
 from repro.experiments._mpi_breakdown import build_mpi
-from repro.experiments.report import ExperimentResult
 from repro.graph import Graph
 
 
@@ -19,9 +18,3 @@ def build(g: Graph, ctx, exp_id: str = "fig05") -> str:
         title="Compute/MPI split and routine breakdown, miniVite & UMT @128 (Fig. 5)",
         keys=["miniVite-128", "UMT-128"],
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig05", campaign=campaign, fast=fast)

@@ -87,10 +87,3 @@ def build(g: Graph, ctx, exp_id: str = "fig07", key: str = "AMG-128") -> str:
         kind="render",
         local=True,
     )
-
-
-def run(campaign=None, fast: bool = False, key: str = "AMG-128") -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    exp_id = "fig07" if key == "AMG-128" else f"fig07:{key}"
-    return run_experiment(exp_id, campaign=campaign, fast=fast)

@@ -14,7 +14,6 @@ Each grid cell is one memoized stage (see
 from __future__ import annotations
 
 from repro.experiments._forecast_common import build_grid
-from repro.experiments.report import ExperimentResult
 from repro.graph import Graph
 
 
@@ -29,9 +28,3 @@ def build(g: Graph, ctx, exp_id: str = "fig08") -> str:
         ks=[5, 10],
         tiers=["app", "app+placement"],
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig08", campaign=campaign, fast=fast)

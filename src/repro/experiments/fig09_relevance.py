@@ -90,9 +90,3 @@ def build(g: Graph, ctx, exp_id: str = "fig09") -> str:
         kind="render",
         local=True,
     )
-
-
-def run(campaign=None, fast: bool = False, workers: int | None = None) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig09", campaign=campaign, fast=fast, workers=workers)

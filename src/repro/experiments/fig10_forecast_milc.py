@@ -12,7 +12,6 @@ all-features) windows are the same tensors Fig. 11 and Fig. 12 consume.
 from __future__ import annotations
 
 from repro.experiments._forecast_common import build_grid
-from repro.experiments.report import ExperimentResult
 from repro.graph import Graph
 
 
@@ -32,9 +31,3 @@ def build(g: Graph, ctx, exp_id: str = "fig10") -> str:
             "app+placement+io+sys",
         ],
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig10", campaign=campaign, fast=fast)

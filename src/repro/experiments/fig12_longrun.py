@@ -82,9 +82,3 @@ def build(g: Graph, ctx, exp_id: str = "fig12") -> str:
         kind="render",
         local=True,
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("fig12", campaign=campaign, fast=fast)

@@ -33,9 +33,3 @@ def build(g: Graph, ctx, exp_id: str = "table01") -> str:
         kind="render",
         local=True,
     )
-
-
-def run(campaign=None, fast: bool = False) -> ExperimentResult:
-    from repro.experiments import run_experiment
-
-    return run_experiment("table01", campaign=campaign, fast=fast)

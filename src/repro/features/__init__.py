@@ -24,11 +24,7 @@ from repro.features.store import (
     clear_feature_caches,
     get_store,
 )
-from repro.features.windows import (
-    build_windows,
-    interleave_windows,
-    validate_window_params,
-)
+from repro.features.windows import build_windows, validate_window_params
 
 __all__ = [
     "FeatureSpec",
@@ -39,6 +35,5 @@ __all__ = [
     "clear_feature_caches",
     "FEATURE_FORMAT_VERSION",
     "build_windows",
-    "interleave_windows",
     "validate_window_params",
 ]

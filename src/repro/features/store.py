@@ -31,7 +31,6 @@ old entries are then simply never hit.
 from __future__ import annotations
 
 import hashlib
-import os
 import weakref
 from pathlib import Path
 from time import perf_counter
@@ -40,11 +39,7 @@ import numpy as np
 
 from repro.campaign.datasets import Campaign, FileLock, RunDataset
 from repro.features.spec import LDMS_SPEC, FeatureSpec
-from repro.features.windows import (
-    build_windows,
-    interleave_windows,
-    validate_window_params,
-)
+from repro.features.windows import build_windows, validate_window_params
 from repro.graph.store import atomic_write, guarded_load
 from repro.obs import METRICS, env_flag, span
 
@@ -61,12 +56,6 @@ _HITS = METRICS.counter("features.cache.hits")
 _DISK_HITS = METRICS.counter("features.cache.disk_hits")
 _MISSES = METRICS.counter("features.cache.misses")
 _BUILD_SECONDS = METRICS.histogram("features.build.seconds")
-#: Incremental-append accounting, per shard consumed: a shard whose
-#: tensor came out of its own store's memo/disk is an append *hit*; a
-#: shard that had to build is an append *miss*.  Appending one window to
-#: a warm stream must show exactly one miss per consumed token.
-_APPEND_HITS = METRICS.counter("features.append.hit")
-_APPEND_MISSES = METRICS.counter("features.append.miss")
 
 #: Live stores, for :func:`clear_feature_caches`.
 _LIVE_STORES: "weakref.WeakSet[FeatureStore]" = weakref.WeakSet()
@@ -133,54 +122,6 @@ class FeatureStore:
             self._memo[key] = entry
         return entry["x"]
 
-    # ---- incremental append (streamed datasets) -------------------------- #
-
-    def _shard_stores(self) -> "list[FeatureStore] | None":
-        """Per-shard stores of a streamed dataset, or ``None``.
-
-        The append path only engages for genuinely multi-shard datasets
-        whose every shard carries a provenance stamp — the degenerate
-        single-shard case (and any hand-built dataset) stays on the
-        monolithic path, byte-identical to the pre-streaming behaviour
-        with unchanged cache keys.
-        """
-        views = getattr(self.ds, "shard_views", None)
-        if not views or len(views) < 2:
-            return None
-        if any(
-            getattr(v, "campaign_fingerprint", None) is None for v in views
-        ):
-            return None
-        return [get_store(v, persist=self.persist) for v in views]
-
-    def _from_shards(
-        self, token: str, shards: "list[FeatureStore]", per_shard, combine
-    ) -> dict[str, np.ndarray]:
-        """Assemble one derived view shard-by-shard.
-
-        Each shard's tensor comes from *its own* store — memoized in
-        process and persisted under the shard's fingerprint, so the
-        entries are shared with direct runs of that window's campaign.
-        Only the cheap combined view is memoized here (never written to
-        disk: the shard is the persisted unit, which is what makes
-        appending window N+1 recompute exactly one shard per token).
-        """
-        entry = self._memo.get(token)
-        if entry is not None:
-            _HITS.inc()
-            return entry
-        parts = []
-        for store in shards:
-            before = _MISSES.value
-            parts.append(per_shard(store))
-            if _MISSES.value > before:
-                _APPEND_MISSES.inc()
-            else:
-                _APPEND_HITS.inc()
-        entry = combine(parts)
-        self._memo[token] = entry
-        return entry
-
     # ---- memo/disk plumbing --------------------------------------------- #
 
     def _get(self, token: str, build, disk: bool = True) -> dict[str, np.ndarray]:
@@ -227,21 +168,8 @@ class FeatureStore:
     # ---- tier matrices --------------------------------------------------- #
 
     def features(self, spec: "str | FeatureSpec") -> np.ndarray:
-        """(N, T, H) feature tensor for a spec or tier name.
-
-        Streamed datasets assemble per shard: the run axis is the shard
-        concatenation order, so stacking the per-shard matrices is
-        byte-identical to building over the combined dataset.
-        """
+        """(N, T, H) feature tensor for a spec or tier name."""
         spec = FeatureSpec.resolve(spec)
-        shards = self._shard_stores()
-        if shards is not None:
-            return self._from_shards(
-                f"tier-{spec.token}",
-                shards,
-                lambda s: s.features(spec),
-                lambda parts: {"x": np.concatenate(parts, axis=0)},
-            )["x"]
         return self._get(
             f"tier-{spec.token}", lambda: {"x": spec.matrix(self.ds)}
         )["x"]
@@ -303,33 +231,10 @@ class FeatureStore:
         k: int,
         align_m: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Memoized ``build_windows`` over a tier view, targets = step times.
-
-        Streamed datasets build the window tensors per shard and
-        interleave the per-instant blocks back into the monolithic
-        tc-major order (:func:`~repro.features.windows.interleave_windows`)
-        — byte-identical to the one-shot build, while appending a window
-        reuses every existing shard tensor from its own cache.
-        """
+        """Memoized ``build_windows`` over a tier view, targets = step times."""
         spec = FeatureSpec.resolve(spec)
         validate_window_params(self.ds.num_steps, m, k, align_m)
         token = f"win-{spec.token}-m{m}-k{k}-a{align_m if align_m is not None else m}"
-
-        shards = self._shard_stores()
-        if shards is not None:
-            counts = [len(s.ds) for s in shards]
-
-            def combine(parts):
-                x, y, groups = interleave_windows(parts, counts)
-                return {"x": x, "y": y, "groups": groups}
-
-            entry = self._from_shards(
-                token,
-                shards,
-                lambda s: s.windows(spec, m, k, align_m=align_m),
-                combine,
-            )
-            return entry["x"], entry["y"], entry["groups"]
 
         def build() -> dict[str, np.ndarray]:
             x, y, groups = build_windows(
@@ -357,22 +262,6 @@ class FeatureStore:
         ci = names.index(channel)
         validate_window_params(self.ds.num_steps, m, k, align_m)
         token = f"win-ldms-ch{ci}-m{m}-k{k}-a{align_m if align_m is not None else m}"
-
-        shards = self._shard_stores()
-        if shards is not None:
-            counts = [len(s.ds) for s in shards]
-
-            def combine(parts):
-                x, y, groups = interleave_windows(parts, counts)
-                return {"x": x, "y": y, "groups": groups}
-
-            entry = self._from_shards(
-                token,
-                shards,
-                lambda s: s.channel_windows(channel, m, k, align_m=align_m),
-                combine,
-            )
-            return entry["x"], entry["y"], entry["groups"]
 
         def build() -> dict[str, np.ndarray]:
             feats = self.features(LDMS_SPEC)

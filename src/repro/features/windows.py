@@ -71,46 +71,3 @@ def build_windows(
         np.concatenate(ys, axis=0),
         np.concatenate(gs, axis=0),
     )
-
-
-def interleave_windows(
-    parts: "list[tuple[np.ndarray, np.ndarray, np.ndarray]]",
-    counts: list[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-shard :func:`build_windows` outputs into the monolithic order.
-
-    :func:`build_windows` lays samples out **tc-major**: for each
-    prediction instant, one row per run.  A shard's tensor is tc-major
-    over its own runs, so the monolithic layout is recovered by
-    interleaving the per-instant blocks of every shard (run counts
-    ``counts``, per shard) and offsetting each shard's group ids by the
-    runs that precede it.  The result is byte-identical to building the
-    windows over the concatenated dataset — the correctness crux of the
-    feature store's incremental-append path, locked by
-    ``tests/features/test_shard_windows.py``.
-    """
-    if len(parts) != len(counts):
-        raise ValueError("parts and counts must align")
-    n_tcs = {
-        part[0].shape[0] // c for part, c in zip(parts, counts) if c
-    }
-    if len(n_tcs) != 1:
-        raise ValueError(
-            f"shards disagree on prediction instants: {sorted(n_tcs)}"
-        )
-    n_tc = n_tcs.pop()
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int64)
-    xs, ys, gs = [], [], []
-    for i in range(n_tc):
-        for (x, y, g), c, off in zip(parts, counts, offsets):
-            if not c:
-                continue
-            block = slice(i * c, (i + 1) * c)
-            xs.append(x[block])
-            ys.append(y[block])
-            gs.append(g[block] + off)
-    return (
-        np.concatenate(xs, axis=0),
-        np.concatenate(ys, axis=0),
-        np.concatenate(gs, axis=0),
-    )

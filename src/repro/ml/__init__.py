@@ -29,9 +29,9 @@ from repro.ml.drift import (
     score_on_shard,
 )
 from repro.ml.gbr import GradientBoostedRegressor
-from repro.ml.metrics import mae, mape, r2_score, rmse
+from repro.ml.metrics import mape, r2_score, rmse
 from repro.ml.mi import mutual_information_binary, mutual_information_discrete
-from repro.ml.model_selection import GroupKFold, KFold, train_test_split
+from repro.ml.model_selection import GroupKFold, KFold
 from repro.ml.pipeline import Estimator, Pipeline
 from repro.ml.rfe import RFE, relevance_scores
 from repro.ml.scaling import StandardScaler
@@ -53,11 +53,9 @@ __all__ = [
     "mutual_information_binary",
     "mutual_information_discrete",
     "mape",
-    "mae",
     "rmse",
     "r2_score",
     "KFold",
     "GroupKFold",
-    "train_test_split",
     "StandardScaler",
 ]

@@ -210,16 +210,6 @@ class AttentionForecaster:
 
     # ------------------------------------------------------------------ #
 
-    def attention_map(self, x: np.ndarray) -> np.ndarray:
-        """The (n, m, m) attention weights for inspection."""
-        if self.params is None:
-            raise RuntimeError("model is not fitted")
-        xs = self._standardize_x(np.asarray(x, dtype=np.float64), fit=False)
-        p = self.params
-        q = xs @ p["Wq"]
-        k = xs @ p["Wk"]
-        return softmax(q @ np.swapaxes(k, 1, 2) / np.sqrt(self.d_model), axis=-1)
-
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """Arrays shaped like ``like``'s, laid end to end in ``flat``."""

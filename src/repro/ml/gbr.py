@@ -143,13 +143,3 @@ class GradientBoostedRegressor:
         for step in steps:
             pred += step
         return pred
-
-    def staged_predict(self, x: np.ndarray):
-        """Yield predictions after each boosting stage (diagnostics)."""
-        if self.binner_ is None:
-            raise RuntimeError("model is not fitted")
-        binned = self.binner_.transform(np.asarray(x, dtype=np.float64))
-        pred = np.full(len(binned), self.init_)
-        for tree in self.trees_:
-            pred = pred + self.learning_rate * tree.predict_binned(binned)
-            yield pred.copy()

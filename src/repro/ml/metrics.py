@@ -26,12 +26,6 @@ def mape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-12) -> float:
     return float(100.0 * np.mean(np.abs(y_true - y_pred) / denom))
 
 
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
 def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Root mean squared error."""
     y_true, y_pred = _check(y_true, y_pred)

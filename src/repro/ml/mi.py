@@ -53,18 +53,3 @@ def columnwise_mi(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.array(
         [mutual_information_binary(m[:, j], p) for j in range(m.shape[1])]
     )
-
-
-def mutual_information_histogram(
-    x: np.ndarray, y: np.ndarray, bins: int = 16
-) -> float:
-    """MI between two continuous variables via equal-frequency binning."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length 1-D arrays")
-    qx = np.quantile(x, np.linspace(0, 1, bins + 1)[1:-1])
-    qy = np.quantile(y, np.linspace(0, 1, bins + 1)[1:-1])
-    xd = np.searchsorted(np.unique(qx), x)
-    yd = np.searchsorted(np.unique(qy), y)
-    return mutual_information_discrete(xd, yd)

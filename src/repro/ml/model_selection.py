@@ -62,15 +62,3 @@ class GroupKFold:
             test = np.flatnonzero(np.isin(groups, fold_groups))
             train = np.flatnonzero(~np.isin(groups, fold_groups))
             yield train, test
-
-
-def train_test_split(
-    n: int, test_fraction: float = 0.2, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Random index split."""
-    if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    idx = np.arange(n)
-    np.random.default_rng(seed).shuffle(idx)
-    cut = max(1, int(round(n * test_fraction)))
-    return np.sort(idx[cut:]), np.sort(idx[:cut])

@@ -13,7 +13,6 @@ from repro.network.counters import (
     PLACEMENT_FEATURES,
     SYS_COUNTERS,
     CounterSpec,
-    forecast_feature_names,
 )
 from repro.network.engine import (
     CongestionEngine,
@@ -37,5 +36,4 @@ __all__ = [
     "IO_COUNTERS",
     "SYS_COUNTERS",
     "PLACEMENT_FEATURES",
-    "forecast_feature_names",
 ]

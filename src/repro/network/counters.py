@@ -190,28 +190,6 @@ SYS_COUNTERS: list[str] = [
 ]
 
 
-def forecast_feature_names(
-    placement: bool = False, io: bool = False, sys: bool = False
-) -> list[str]:
-    """Feature list for a forecasting ablation tier (Fig. 8/10 legends)."""
-    names = list(APP_COUNTERS)
-    if placement:
-        names += PLACEMENT_FEATURES
-    if io:
-        names += IO_COUNTERS
-    if sys:
-        names += SYS_COUNTERS
-    return names
-
-
-def spec_by_abbreviation(abbrev: str) -> CounterSpec:
-    """Look up a Table II row by its abbreviation."""
-    for spec in COUNTER_SPECS:
-        if spec.abbreviation == abbrev:
-            return spec
-    raise KeyError(abbrev)
-
-
 # ---------------------------------------------------------------------------
 # Synthesis
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ The reproduction instruments *itself* the way the paper instrumented
 Cori: lightweight always-available counters plus an opt-in trace of
 where the time goes.
 
-* :func:`span` / :func:`traced` — hierarchical timing spans
+* :func:`span` — hierarchical timing spans
   (:mod:`repro.obs.spans`); near-zero cost unless ``REPRO_TRACE=1``;
-* :data:`METRICS` — the process-wide counter/gauge/histogram registry
+* :data:`METRICS` — the process-wide counter/histogram registry
   (:mod:`repro.obs.metrics`), always on (plain ints under a lock);
 * :mod:`repro.obs.trace` — per-invocation run manifest + JSONL sink
   (``REPRO_TRACE``, ``REPRO_TRACE_DIR``), joined transparently by
@@ -27,9 +27,9 @@ See ``docs/observability.md`` for the trace schema and workflows.
 
 from repro.obs.env import env_flag
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import METRICS, Counter, Histogram, MetricsRegistry
 from repro.obs.profile import profile_requested, profiled_span
-from repro.obs.spans import current_span_id, remote_parent, span, traced
+from repro.obs.spans import current_span_id, remote_parent, span
 from repro.obs.trace import (
     annotate,
     end_run,
@@ -42,7 +42,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "span",
-    "traced",
     "profiled_span",
     "profile_requested",
     "current_span_id",
@@ -50,7 +49,6 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "start_run",
     "ensure_run",

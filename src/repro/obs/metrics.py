@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 One registry (:data:`METRICS`) serves the whole process.  Instruments are
 created on first use and *persist across resets* — ``reset()`` zeroes
@@ -41,36 +41,6 @@ class Counter:
             self._value = 0
 
     def _snapshot(self) -> int:
-        return self._value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "_lock", "_value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, v: float) -> None:
-        with self._lock:
-            self._value = float(v)
-
-    def add(self, v: float) -> None:
-        with self._lock:
-            self._value += float(v)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _reset(self) -> None:
-        with self._lock:
-            self._value = 0.0
-
-    def _snapshot(self) -> float:
         return self._value
 
 
@@ -125,7 +95,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Histogram] = {}
 
     def _get(self, name: str, cls):
         inst = self._instruments.get(name)
@@ -141,9 +111,6 @@ class MetricsRegistry:
 
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
 
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)

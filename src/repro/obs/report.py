@@ -144,13 +144,6 @@ def _cache_summary(metrics: dict[str, object]) -> list[str]:
             f"{misses} builds "
             f"({100.0 * (hits + disk) / total:.1f}% hit rate)"
         )
-    ap_hits = int(metrics.get("features.append.hit", 0) or 0)
-    ap_miss = int(metrics.get("features.append.miss", 0) or 0)
-    if ap_hits + ap_miss:
-        lines.append(
-            f"feature append: {ap_hits} shard reuses, "
-            f"{ap_miss} shard builds"
-        )
     camp_hits = int(metrics.get("campaign.cache.hits", 0) or 0)
     camp_miss = int(metrics.get("campaign.cache.misses", 0) or 0)
     if camp_hits + camp_miss:

@@ -1,13 +1,10 @@
 """Hierarchical timing spans over ``time.perf_counter``.
 
-Usage — context manager for dynamic attributes, decorator for static::
+Usage — a context manager; ``set`` adds attributes known only later::
 
     with span("campaign.run", fingerprint=fp) as sp:
         ...
         sp.set(cached=True)
-
-    @traced("ml.pipeline.fit")
-    def fit(...): ...
 
 Nesting is tracked with a :mod:`contextvars` variable, so threads (and
 async tasks) each see their own ambient parent.  Span ids embed the pid
@@ -22,7 +19,6 @@ shared no-op context manager — nothing is allocated (the time budgets in
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import time
@@ -142,17 +138,3 @@ def span(name: str, **attrs) -> "Span | _NoopSpan":
     if not trace.active() and trace.ensure_run() is None:
         return _NOOP
     return Span(name, attrs)
-
-
-def traced(name: str, **attrs):
-    """Decorator form of :func:`span` (gate re-checked on every call)."""
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with span(name, **attrs):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return deco

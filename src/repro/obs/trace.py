@@ -403,5 +403,10 @@ def annotate(**attrs) -> None:
 
 # Resolve the gate once at import: in a freshly spawned worker this sees
 # the parent's exported TRACE_FILE_ENV; in an untraced process it leaves
-# the single-bool fast path in place.
-_refresh_gate()
+# the single-bool fast path in place.  A bad REPRO_TRACE/REPRO_PROFILE
+# value must not fail the import: the gate stays open, so the next
+# ensure_run() (a CLI's knob check, or the first span) raises naming it.
+try:
+    _refresh_gate()
+except ValueError:
+    ACTIVE = True

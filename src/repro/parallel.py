@@ -1,8 +1,9 @@
 """General work distribution: one process-pool layer for every hot loop.
 
 PR 1 parallelized campaign *generation*; this module generalizes that
-machinery so the analysis stack (RFE folds, forecasting ablation cells,
-per-dataset figure/table work) fans out over the same kind of pool:
+machinery so the rest of the program (the stage graph's stages, RFE
+folds, the per-dataset neighbourhood lists of Table III) fans out over
+the same kind of pool:
 
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` wrapper whose
   ``workers <= 1`` mode runs every task in-process through the *same*
@@ -19,10 +20,7 @@ per-dataset figure/table work) fans out over the same kind of pool:
 * a nested-parallelism guard: workers advertise themselves via
   ``REPRO_PARALLEL_WORKER`` and :func:`effective_workers` resolves to 1
   inside one, so a driver that fans datasets out never has its workers
-  fork grandchildren for the per-fold loops inside;
-* :func:`task_seed` — stable per-task seeds derived through the
-  :func:`repro.config.rng_for` stream policy, for tasks that need their
-  own randomness without coupling it to worker count or order.
+  fork grandchildren for the per-fold loops inside.
 
 Determinism contract (same as the campaign layer): tasks are pure
 functions of their arguments, results are gathered in submission order,
@@ -41,7 +39,7 @@ import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.config import DEFAULT_SEED, resolve_workers, rng_for
+from repro.config import resolve_workers
 from repro.obs import METRICS, current_span_id, remote_parent
 from repro.obs.log import configure_worker_logging
 from repro.obs.profile import profile_requested, profiled_span
@@ -57,7 +55,6 @@ __all__ = [
     "in_worker",
     "parallel_map",
     "shutdown_pool",
-    "task_seed",
     "wait_any",
 ]
 
@@ -88,18 +85,6 @@ def effective_workers(workers: int | None = None) -> int:
     if in_worker():
         return 1
     return resolve_workers(workers)
-
-
-def task_seed(*labels: object, seed: int = DEFAULT_SEED) -> int:
-    """A stable 31-bit per-task seed from stream labels.
-
-    Derived through the :func:`repro.config.rng_for` policy, so seeds
-    for different labels are independent and adding a consumer never
-    perturbs existing ones.  Use this when a task needs randomness of
-    its own: seed by *task identity* (dataset key, fold index), never by
-    worker id or submission order.
-    """
-    return int(rng_for("parallel.task", *labels, seed=seed).integers(0, 2**31 - 1))
 
 
 # --------------------------------------------------------------------------- #

@@ -65,7 +65,3 @@ class JobRecord:
     @property
     def queue_wait(self) -> float:
         return self.start_time - self.request.submit_time
-
-    def overlaps(self, start: float, end: float) -> bool:
-        """True if the job ran at any point during [start, end)."""
-        return self.start_time < end and self.end_time > start

@@ -44,9 +44,6 @@ class MPIProfile:
     def mpi_fraction(self) -> float:
         return self.mpi_time / self.total_time if self.total_time > 0 else 0.0
 
-    def dominant_routines(self, k: int = 5) -> list[str]:
-        return sorted(self.routine_times, key=self.routine_times.get, reverse=True)[:k]
-
 
 def profile_run(
     app: Application,

@@ -7,8 +7,6 @@ the analyses need: which users had jobs running alongside a probe job
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.system.jobs import JobRecord
 from repro.system.scheduler import SchedulerResult
 from repro.topology.dragonfly import DragonflyTopology
@@ -40,25 +38,3 @@ class SacctLog:
     def placement(self, job: JobRecord) -> dict[str, int]:
         """NUM_ROUTERS / NUM_GROUPS for a job (paper §III-C)."""
         return placement_features(self.topology, job.nodes)
-
-    def user_vocabulary(
-        self, jobs: list[JobRecord], min_nodes: int = 128
-    ) -> list[str]:
-        """All users appearing in any of the jobs' neighbourhoods."""
-        vocab: set[str] = set()
-        for job in jobs:
-            vocab.update(self.neighborhood_users(job, min_nodes))
-        return sorted(vocab)
-
-    def co_occurrence_matrix(
-        self, jobs: list[JobRecord], min_nodes: int = 128
-    ) -> tuple[np.ndarray, list[str]]:
-        """Binary (runs x users) matrix M: M[r, u] = user u was running
-        during run r (paper §IV-A)."""
-        vocab = self.user_vocabulary(jobs, min_nodes)
-        index = {u: i for i, u in enumerate(vocab)}
-        m = np.zeros((len(jobs), len(vocab)), dtype=np.int8)
-        for r, job in enumerate(jobs):
-            for u in self.neighborhood_users(job, min_nodes):
-                m[r, index[u]] = 1
-        return m, vocab

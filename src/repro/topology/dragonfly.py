@@ -30,7 +30,6 @@ from the compute pool.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,15 +50,6 @@ class LinkKind(enum.IntEnum):
     GREEN = 0  # intra-group, row (all-to-all within a grid row)
     BLACK = 1  # intra-group, column (all-to-all within a grid column)
     BLUE = 2  # inter-group global links
-
-
-@dataclass(frozen=True)
-class RouterCoord:
-    """Human-readable position of a router: (group, row, position-in-row)."""
-
-    group: int
-    row: int
-    pos: int
 
 
 class DragonflyTopology(Topology):
@@ -184,15 +174,6 @@ class DragonflyTopology(Topology):
             np.asarray(group) * self.routers_per_group
             + np.asarray(row) * self.row_size
             + np.asarray(pos)
-        )
-
-    def router_coord(self, router: int) -> RouterCoord:
-        """Coordinates of a single router (scalar convenience)."""
-        local = router % self.routers_per_group
-        return RouterCoord(
-            group=router // self.routers_per_group,
-            row=local // self.row_size,
-            pos=local % self.row_size,
         )
 
     # ------------------------------------------------------------------ #

@@ -98,16 +98,6 @@ _ROUTING_ALIASES: dict[str, str] = {
 # --------------------------------------------------------------------- #
 
 
-def topology_names() -> list[str]:
-    """Canonical topology names, sorted."""
-    return sorted(TOPOLOGIES)
-
-
-def routing_names() -> list[str]:
-    """Canonical routing-policy names, sorted."""
-    return sorted(ROUTING_POLICIES)
-
-
 def _describe_options(canon: dict[str, str]) -> str:
     by_target: dict[str, list[str]] = {}
     for alias, target in canon.items():
@@ -180,8 +170,3 @@ def parse_cell(text: str) -> tuple[str, str]:
 def cell_id(topology: str, routing: str) -> str:
     """Render a canonical cell id string (``dragonfly/ugal``)."""
     return f"{canonical_topology(topology)}/{canonical_routing(routing)}"
-
-
-def is_default_cell(topology: str, routing: str) -> bool:
-    """True when the cell is the paper's baseline (dragonfly, ugal)."""
-    return resolve_cell(topology, routing) == DEFAULT_CELL

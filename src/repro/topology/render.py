@@ -3,15 +3,11 @@ terminal).
 
 For the dragonfly: one group's router grid with its green/black
 all-to-all structure summarised.  For Dragonfly+: one group's leaf/spine
-split.  Both get the inter-group global connectivity summary and an
-optional utilisation overlay from a solved network state; unknown
-geometries degrade gracefully with a "not supported" message instead of
-crashing.
+split.  Unknown geometries degrade gracefully with a "not supported"
+message instead of crashing.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.topology.base import Topology
 from repro.topology.dragonfly import DragonflyTopology
@@ -81,45 +77,3 @@ def render_group(topology: Topology, group: int = 0) -> str:
         f"group rendering not supported for this topology "
         f"({type(topology).__name__}); {topology.describe()}"
     )
-
-
-def render_group_connectivity(topology: Topology) -> str:
-    """Group-level adjacency summary (all-to-all for both geometries)."""
-    g = topology.groups
-    lines = [f"{g} groups, all-to-all global connectivity:"]
-    width = min(g, 16)
-    header = "      " + " ".join(f"g{j:02d}" for j in range(width))
-    lines.append(header)
-    for a in range(min(g, 16)):
-        row = [
-            " x " if a != b else " . " for b in range(width)
-        ]
-        lines.append(f"  g{a:02d} " + " ".join(row))
-    if g > 16:
-        lines.append(f"  ... ({g - 16} more groups)")
-    return "\n".join(lines)
-
-
-def render_utilisation(
-    topology: Topology,
-    link_loads: np.ndarray,
-    buckets: str = " .:-=+*#%@",
-) -> str:
-    """Per-link-class utilisation histogram as a sparkline summary."""
-    util = link_loads / topology.link_capacity
-    lines = ["link utilisation by class:"]
-    for kind in type(topology).link_kinds:
-        u = util[topology.link_kind == kind]
-        if len(u) == 0:
-            continue
-        hist, _ = np.histogram(np.clip(u, 0, 1), bins=10, range=(0.0, 1.0))
-        peak = hist.max() if hist.max() > 0 else 1
-        spark = "".join(
-            buckets[min(int(h / peak * (len(buckets) - 1)), len(buckets) - 1)]
-            for h in hist
-        )
-        lines.append(
-            f"  {kind.name.lower():6s} [{spark}] mean={u.mean():.3f} "
-            f"max={u.max():.3f} ({len(u)} links)"
-        )
-    return "\n".join(lines)

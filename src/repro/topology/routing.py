@@ -88,15 +88,6 @@ class Incidence:
             np.maximum.at(out, self.flow, per_link[self.link])
         return out
 
-    def flow_mean_metric(self, per_link: np.ndarray, n_flows: int) -> np.ndarray:
-        """Per-flow share-weighted mean of a per-link metric."""
-        num = np.zeros(n_flows, dtype=np.float64)
-        den = np.zeros(n_flows, dtype=np.float64)
-        if self.nnz:
-            np.add.at(num, self.flow, per_link[self.link] * self.share)
-            np.add.at(den, self.flow, self.share)
-        return num / np.maximum(den, 1e-300)
-
 
 @dataclass
 class FlowRouting:

@@ -5,16 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.deviation import (
-    deviation_analysis,
-    deviation_prediction_mape,
-)
+from repro.analysis.deviation import deviation_analysis
 from repro.analysis.forecasting import (
     TIERS,
     build_windows,
+    fit_forecaster,
     forecast_mape,
-    forecasting_feature_importances,
     long_run_forecast,
+    model_importances,
 )
 from repro.campaign.datasets import RunDataset, RunRecord
 from repro.ml.attention import AttentionForecaster
@@ -86,8 +84,8 @@ def test_deviation_analysis_finds_signal_counter():
 def test_deviation_mape_below_paper_threshold():
     """Paper §V-B: prediction MAPE < 5% for all datasets."""
     ds = _synthetic_dataset()
-    err = deviation_prediction_mape(ds, n_splits=5, max_samples=600)
-    assert err < 5.0
+    res = deviation_analysis(ds, n_splits=5, max_samples=600)
+    assert res.prediction_mape < 5.0
 
 
 def test_deviation_analysis_requires_enough_runs():
@@ -156,9 +154,8 @@ def test_forecast_unknown_tier():
 
 def test_forecasting_importances_highlight_signal():
     ds = _synthetic_dataset(n=30, t=24)
-    names, imp = forecasting_feature_importances(
-        ds, m=4, k=4, tier="app", model_factory=_fast_model
-    )
+    model = fit_forecaster(ds, m=4, k=4, tier="app", model_factory=_fast_model)
+    names, imp = model_importances(model, ds, m=4, k=4, tier="app")
     assert len(names) == len(imp) == 13
     assert imp.sum() == pytest.approx(1.0)
     # The driving counter should rank in the top few.

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.kernels.halo import (
-    halo_messages_per_exchange,
-    halo_surface_bytes,
-    mean_message_size,
-)
+from repro.apps.kernels.halo import halo_surface_bytes
 from repro.apps.kernels.louvain import (
     run_louvain_phase,
     synthetic_kkt_graph,
@@ -53,13 +49,6 @@ def test_halo_validation():
         halo_surface_bytes((4, 4), -1.0)
     with pytest.raises(ValueError):
         halo_surface_bytes((4, 4), 1.0, ghost_width=0)
-    with pytest.raises(ValueError):
-        halo_messages_per_exchange(0)
-
-
-def test_halo_messages_and_mean():
-    assert halo_messages_per_exchange(4) == 8
-    assert mean_message_size(np.array([10.0, 30.0])) == 20.0
 
 
 # --------------------------------------------------------------------- #
@@ -197,15 +186,6 @@ def test_sweep_face_bytes():
     assert s.bytes_per_rank_per_step() == pytest.approx(fb.sum() * 8)
     assert s.messages_per_rank_per_step() == 24
     assert s.mean_message_bytes() == pytest.approx(fb.sum() / 3)
-
-
-def test_sweep_wavefront_sizes_sum_to_ranks():
-    s = SweepSchedule((4, 3, 2), (4, 4, 4), 8, 4)
-    for octant in range(8):
-        sizes = s.wavefront_sizes(octant)
-        assert sizes.sum() == s.num_ranks
-        assert len(sizes) == s.stages_per_octant + 1
-        assert sizes[0] == 1  # the sweep starts at one corner rank
 
 
 def test_sweep_pipeline_efficiency_bounds():

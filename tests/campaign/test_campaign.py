@@ -10,7 +10,6 @@ from repro.campaign.datasets import (
     EPOCH,
     LDMS_FEATURES,
     Campaign,
-    RunDataset,
     seconds_to_date,
 )
 from repro.campaign.runner import (

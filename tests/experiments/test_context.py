@@ -1,27 +1,38 @@
-"""The in-process campaign cache: its size knob fails loudly, early."""
+"""The in-process campaign cache: bounded, least recently used out first."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
-import pytest
-
 from repro.experiments import context
 
+CELLS = [None, ("df+", "valiant"), ("dragonfly", "minimal")]
 
-def test_bad_cache_size_fails_before_generation(monkeypatch):
-    monkeypatch.setenv("REPRO_CAMPAIGN_CACHE_SIZE", "two")
+
+class _Campaign:
+    def keys(self):
+        return []
+
+
+def test_cache_keeps_two_campaigns_and_evicts_the_oldest(monkeypatch):
     monkeypatch.setattr(context, "_CACHE", OrderedDict())
+    generated = []
 
     def generate(cfg):
-        raise AssertionError("generated a campaign before checking the knob")
+        generated.append(cfg.fingerprint())
+        return _Campaign()
 
     monkeypatch.setattr(context, "run_campaign", generate)
-    with pytest.raises(ValueError, match="REPRO_CAMPAIGN_CACHE_SIZE"):
-        context.get_campaign(fast=True)
-
-
-@pytest.mark.parametrize("raw, size", [("", 2), (" 3 ", 3), ("0", 1)])
-def test_cache_size_values(monkeypatch, raw, size):
-    monkeypatch.setenv("REPRO_CAMPAIGN_CACHE_SIZE", raw)
-    assert context.campaign_cache_size() == size
+    fps = [context.experiment_config(True, cell).fingerprint() for cell in CELLS]
+    a = context.get_campaign(fast=True, cell=CELLS[0])
+    context.get_campaign(fast=True, cell=CELLS[1])
+    # A memo hit makes the first campaign the most recently used ...
+    assert context.get_campaign(fast=True, cell=CELLS[0]) is a
+    context.get_campaign(fast=True, cell=CELLS[2])
+    # ... so the third generation evicts the second, not the first.
+    assert generated == fps
+    assert list(context._CACHE) == [fps[0], fps[2]]
+    assert context.get_campaign(fast=True, cell=CELLS[0]) is a
+    context.get_campaign(fast=True, cell=CELLS[1])
+    assert generated == fps + [fps[1]]
+    assert list(context._CACHE) == [fps[0], fps[1]]

@@ -125,13 +125,10 @@ def test_obs_report_surfaces_stream_counters():
 
     lines = _cache_summary(
         {
-            "features.append.hit": 4,
-            "features.append.miss": 2,
             "graph.shard.hit": 10,
             "graph.shard.miss": 3,
             "graph.shard.run": 3,
         }
     )
     text = "\n".join(lines)
-    assert "feature append: 4 shard reuses, 2 shard builds" in text
     assert "shard stages: 10 artifact hits, 3 misses, 3 stages run" in text

@@ -127,13 +127,7 @@ def test_fig10_path_matches_legacy_inline(milc):
 
 def test_warm_experiment_pass_rebuilds_nothing(tiny_campaign, monkeypatch):
     """Acceptance: a warm second fig09–fig12 pass does zero feature builds."""
-    from repro.experiments import (
-        _forecast_common,
-        fig09_relevance,
-        fig10_forecast_milc,
-        fig11_importances,
-        fig12_longrun,
-    )
+    from repro.experiments import _forecast_common, run_experiment
 
     # A cheap deterministic stand-in for the attention forecaster; stage
     # bodies resolve the factory from _forecast_common at call time, so
@@ -156,13 +150,13 @@ def test_warm_experiment_pass_rebuilds_nothing(tiny_campaign, monkeypatch):
         ),
     )
 
-    figs = (fig09_relevance, fig10_forecast_milc, fig11_importances, fig12_longrun)
-    for fig in figs:
-        fig.run(campaign=tiny_campaign, fast=True)
+    figs = ("fig09", "fig10", "fig11", "fig12")
+    for exp_id in figs:
+        run_experiment(exp_id, campaign=tiny_campaign, fast=True)
     cold = _counts()
 
-    for fig in figs:
-        fig.run(campaign=tiny_campaign, fast=True)
+    for exp_id in figs:
+        run_experiment(exp_id, campaign=tiny_campaign, fast=True)
     warm = _counts()
 
     assert warm[2] == cold[2], "warm pass recomputed features"

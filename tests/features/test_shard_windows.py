@@ -1,9 +1,9 @@
-"""Shard-boundary window tensors: byte-identity to the monolithic build.
+"""Streamed datasets: window tensors byte-identical to the monolithic build.
 
-The correctness crux of the incremental-append path: a streamed
-dataset's tier matrices and window tensors, assembled shard by shard,
-must be *byte-identical* to building them over the combined dataset in
-one pass — for every window size, both topology cells, and uneven
+A combined streamed dataset (shards concatenated by
+:func:`repro.campaign.streaming._combine_shards`) must give the feature
+store the same tier matrices and window tensors as a plain dataset of
+the same runs — for every window size, both topology cells, and uneven
 shards.
 """
 
@@ -15,8 +15,6 @@ import pytest
 from repro.campaign.runner import CampaignConfig
 from repro.campaign.streaming import StreamConfig, _combine_shards, run_stream
 from repro.features import FeatureSpec, build_windows, get_store
-from repro.features.windows import interleave_windows
-from repro.obs import METRICS
 
 from tests.features.test_store import _dataset
 
@@ -86,44 +84,6 @@ def test_shard_channel_windows_byte_identical():
     assert np.array_equal(xs, xm)
     assert np.array_equal(ys, ym)
     assert np.array_equal(gm, gs)
-
-
-def test_interleave_rejects_mismatched_shards():
-    a = build_windows(np.zeros((2, 8, 3)), np.zeros((2, 8)), 2, 1)
-    b = build_windows(np.zeros((1, 9, 3)), np.zeros((1, 9)), 2, 1)
-    with pytest.raises(ValueError):
-        interleave_windows([a, b], [2, 1])
-    with pytest.raises(ValueError):
-        interleave_windows([a], [2, 1])
-
-
-def test_append_counters_track_shard_reuse(tmp_path, monkeypatch):
-    """Appending one shard rebuilds exactly that shard's tensor."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    hits = METRICS.counter("features.append.hit")
-    misses = METRICS.counter("features.append.miss")
-    combined, _ = _streamed([2, 3])
-    h0, m0 = hits.value, misses.value
-    get_store(combined, persist=True).windows("app", 3, 2)
-    assert (hits.value - h0, misses.value - m0) == (0, 2)
-
-    # Rebuild with one extra shard in a fresh process-equivalent state:
-    # the two old shards disk-hit, only the new one builds.
-    views = combined.shard_views
-    extra = _dataset(key="SYN-64", n=2, t=12, seed=999)
-    extra.campaign_fingerprint = "window2extra0fp0"
-    bigger = _combine_shards(
-        "SYN-64",
-        [v.__class__(key=v.key, runs=list(v.runs),
-                     campaign_fingerprint=v.campaign_fingerprint)
-         for v in views] + [extra],
-        [v.campaign_fingerprint for v in views] + [extra.campaign_fingerprint],
-        [0.0, 0.0, 0.0],
-        "streamfp11111111",
-    )
-    h0, m0 = hits.value, misses.value
-    get_store(bigger, persist=True).windows("app", 3, 2)
-    assert (hits.value - h0, misses.value - m0) == (2, 1)
 
 
 @pytest.mark.parametrize("cell", [None, ("df+", "valiant")])

@@ -6,6 +6,11 @@ experiment modules had before the stage-graph refactor (with
 the byte-identity acceptance criterion: the DAG runners must reproduce
 these payloads exactly, cold or warm, at any worker count.  Do not
 "modernise" this module — its value is that it does not change.
+
+The three helpers above the drivers (``ablation_grid``,
+``forecasting_feature_importances``, ``run_breakdowns``) have no caller
+but these drivers; they moved here from ``repro`` with their bodies
+unchanged.
 """
 
 from __future__ import annotations
@@ -14,19 +19,22 @@ import numpy as np
 
 from repro.analysis.deviation import deviation_analysis
 from repro.analysis.forecasting import (
-    ablation_grid,
-    forecasting_feature_importances,
+    ForecastResult,
+    _score_windows,
+    default_forecaster,
+    fit_forecaster,
     long_run_forecast,
+    model_importances,
 )
 from repro.analysis.neighborhood import correlated_users_table, recovery_rate
 from repro.apps.registry import DATASET_KEYS, get_application
-from repro.campaign.datasets import seconds_to_date
+from repro.campaign.datasets import Campaign, RunDataset, seconds_to_date
 from repro.experiments._forecast_common import (
     bench_forecaster,
     fast_forecaster,
     grid_summary,
 )
-from repro.experiments._mpi_breakdown import run_breakdowns
+from repro.experiments._mpi_breakdown import mpi_breakdown, render_breakdown
 from repro.experiments.context import get_campaign, long_run_key
 from repro.experiments.report import (
     ExperimentResult,
@@ -35,9 +43,81 @@ from repro.experiments.report import (
     ascii_series,
     ascii_table,
 )
-from repro.features import FeatureSpec
+from repro.features import FeatureSpec, get_store
 from repro.network.counters import APP_COUNTERS, COUNTER_SPECS
-from repro.parallel import parallel_map
+from repro.obs import span
+from repro.parallel import effective_workers, parallel_map
+
+
+def ablation_grid(
+    ds: RunDataset,
+    ms: list[int],
+    ks: list[int],
+    tiers: "list[str | FeatureSpec]",
+    n_splits: int = 3,
+    seed: int = 0,
+    model_factory=default_forecaster,
+    workers: int | None = None,
+) -> list[ForecastResult]:
+    """The full Fig. 8 / Fig. 10 grid for one dataset.
+
+    Context lengths are aligned (``align_m = max(ms)``) so every cell
+    predicts the same instants from the same number of samples.
+
+    The (m, k, tier) cells are independent and fan out over
+    :mod:`repro.parallel` when ``workers`` (or ``REPRO_WORKERS``) asks
+    for it.  Window tensors are built here in the parent — sequentially,
+    against the dataset's memoized FeatureStore — and each cell seeds its
+    models from the cell coordinates alone, so results are bit-identical
+    for any worker count and arrive in grid order.  ``model_factory``
+    must be picklable (a module-level callable) when ``workers > 1``.
+    """
+    align = max(ms)
+    specs = [FeatureSpec.resolve(t) for t in tiers]
+    store = get_store(ds)
+    tasks = []
+    for k in ks:
+        for m in ms:
+            for spec in specs:
+                x, y, groups = store.windows(spec, m, k, align_m=align)
+                tasks.append(
+                    (ds.key, m, k, spec.name, x, y, groups, n_splits, seed,
+                     model_factory)
+                )
+    with span(
+        "analysis.ablation_grid",
+        dataset=ds.key,
+        cells=len(tasks),
+        workers=effective_workers(workers),
+    ):
+        return parallel_map(_score_windows, tasks, workers=workers)
+
+
+def forecasting_feature_importances(
+    ds: RunDataset,
+    m: int,
+    k: int,
+    tier: "str | FeatureSpec",
+    seed: int = 0,
+    model_factory=default_forecaster,
+) -> tuple[list[str], np.ndarray]:
+    """Fig. 11: permutation importances of the forecasting model.
+
+    Trained on all runs; importances are MAPE degradation when one feature
+    channel is shuffled (normalised to sum to 1).
+    """
+    model = fit_forecaster(ds, m, k, tier, seed=seed, model_factory=model_factory)
+    return model_importances(model, ds, m, k, tier, seed=seed)
+
+
+def run_breakdowns(camp: Campaign, keys: list[str]) -> tuple[dict, str]:
+    data = {}
+    blocks = []
+    for key in keys:
+        stats = mpi_breakdown(camp[key])
+        data[key] = stats
+        blocks.append(render_breakdown(stats))
+    return data, "\n\n".join(blocks)
 
 
 def run_table01(campaign=None, fast: bool = False) -> ExperimentResult:

@@ -157,16 +157,6 @@ def test_attention_validation_and_unfitted():
         AttentionForecaster(d_model=0)
 
 
-def test_attention_map_shape():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=(50, 4, 3))
-    y = x[:, -1, 0]
-    model = AttentionForecaster(epochs=30, seed=4).fit(x, y)
-    a = model.attention_map(x[:5])
-    assert a.shape == (5, 4, 4)
-    np.testing.assert_allclose(a.sum(axis=-1), 1.0, atol=1e-9)
-
-
 def test_permutation_importance_finds_signal_channel():
     rng = np.random.default_rng(8)
     n, m, h = 500, 4, 5

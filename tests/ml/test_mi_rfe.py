@@ -10,7 +10,6 @@ from repro.ml.mi import (
     columnwise_mi,
     mutual_information_binary,
     mutual_information_discrete,
-    mutual_information_histogram,
 )
 from repro.ml.rfe import RFE, relevance_scores
 
@@ -66,14 +65,6 @@ def test_columnwise_mi_ranks_informative_user():
     assert np.argmax(mi) == 3
     with pytest.raises(ValueError):
         columnwise_mi(m, p[:-1])
-
-
-def test_mi_histogram_continuous():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=5000)
-    y = x + 0.1 * rng.normal(size=5000)
-    z = rng.normal(size=5000)
-    assert mutual_information_histogram(x, y) > 5 * mutual_information_histogram(x, z)
 
 
 # --------------------------------------------------------------------- #

@@ -185,18 +185,6 @@ def test_gbr_importances_rank_signal():
     assert imp.sum() == pytest.approx(1.0)
 
 
-def test_gbr_staged_predict(friedman):
-    xtr, ytr, xte, yte = friedman
-    gbr = GradientBoostedRegressor(n_estimators=30).fit(xtr, ytr)
-    stages = list(gbr.staged_predict(xte))
-    assert len(stages) == 30
-    np.testing.assert_allclose(stages[-1], gbr.predict(xte))
-    # Test error generally improves over stages.
-    first = r2_score(yte, stages[0])
-    last = r2_score(yte, stages[-1])
-    assert last > first
-
-
 def test_gbr_deterministic(friedman):
     xtr, ytr, xte, _ = friedman
     a = GradientBoostedRegressor(n_estimators=20, random_state=5).fit(xtr, ytr)

@@ -9,12 +9,7 @@ from repro.config import FLIT_BYTES, MEAN_PACKET_FLITS, rng_for
 from repro.network.counters import (
     APP_COUNTERS,
     COUNTER_SPECS,
-    IO_COUNTERS,
-    PLACEMENT_FEATURES,
-    SYS_COUNTERS,
     counters_to_matrix,
-    forecast_feature_names,
-    spec_by_abbreviation,
     synthesize_router_counters,
 )
 from repro.network.traffic import router_alltoall_flows
@@ -48,12 +43,6 @@ def test_table2_cray_names_follow_aries_convention():
             assert spec.abbreviation.startswith("PT_")
         else:
             assert spec.abbreviation.startswith("RT_")
-
-
-def test_spec_lookup():
-    assert spec_by_abbreviation("RT_RB_STL").tile == "RT"
-    with pytest.raises(KeyError):
-        spec_by_abbreviation("NOPE")
 
 
 def test_synthesis_covers_all_app_counters(busy_state, tiny_topo):
@@ -160,13 +149,3 @@ def test_counters_to_matrix_orders_and_shapes():
     np.testing.assert_array_equal(
         counters_to_matrix(d, APP_COUNTERS), np.arange(13.0)
     )
-
-
-def test_forecast_feature_names_tiers():
-    base = forecast_feature_names()
-    assert base == APP_COUNTERS
-    placed = forecast_feature_names(placement=True)
-    assert placed == APP_COUNTERS + PLACEMENT_FEATURES
-    full = forecast_feature_names(placement=True, io=True, sys=True)
-    assert full == APP_COUNTERS + PLACEMENT_FEATURES + IO_COUNTERS + SYS_COUNTERS
-    assert len(full) == 23  # matches Fig. 11 (right) feature axis

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MAX_UTILISATION, TINY, rng_for
+from repro.config import MAX_UTILISATION, TINY
 from repro.network.engine import (
     SLOWDOWN_CAP,
     BaseLoad,

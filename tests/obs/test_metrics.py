@@ -34,15 +34,6 @@ def test_counter_thread_safety():
     assert c.value == 8000
 
 
-def test_gauge_set_and_add():
-    reg = MetricsRegistry()
-    g = reg.gauge("g")
-    g.set(3.5)
-    assert g.value == 3.5
-    g.add(1.5)
-    assert g.value == 5.0
-
-
 def test_histogram_summary():
     reg = MetricsRegistry()
     h = reg.histogram("h")
@@ -66,7 +57,7 @@ def test_type_conflict_raises():
     reg = MetricsRegistry()
     reg.counter("x")
     with pytest.raises(TypeError):
-        reg.gauge("x")
+        reg.histogram("x")
 
 
 def test_reset_zeroes_in_place_keeping_references():
@@ -74,15 +65,13 @@ def test_reset_zeroes_in_place_keeping_references():
     reset() must zero those same objects, not replace them."""
     reg = MetricsRegistry()
     c = reg.counter("c")
-    g = reg.gauge("g")
     h = reg.histogram("h")
     c.inc(3)
-    g.set(2.0)
     h.observe(1.0)
     reg.reset()
     assert reg.counter("c") is c
+    assert reg.histogram("h") is h
     assert c.value == 0
-    assert g.value == 0.0
     assert h.count == 0
     c.inc()
     assert reg.counter("c").value == 1

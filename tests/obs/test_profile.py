@@ -13,7 +13,7 @@ from repro.obs.profile import (
     write_profile_json,
     write_run_profile,
 )
-from repro.obs.report import TraceData, load_trace
+from repro.obs.report import TraceData
 
 from tests.obs.conftest import read_records
 

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.obs import current_span_id, remote_parent, span, traced
+from repro.obs import current_span_id, remote_parent, span
 from repro.obs import trace
 from repro.obs.spans import _NOOP
 
@@ -68,25 +68,6 @@ def test_disabled_path_returns_shared_noop(clean_trace_state):
             assert inner is _NOOP
             assert inner.set(x=1) is inner
             assert current_span_id() is None
-
-
-def test_traced_decorator_rechecks_gate_per_call(tmp_path, clean_trace_state):
-    calls = []
-
-    @traced("decorated.call", kind="test")
-    def fn(v):
-        calls.append(v)
-        return v * 2
-
-    assert fn(2) == 4  # tracing off: no record, plain call
-    path = tmp_path / "t.jsonl"
-    trace.start_run("test", path=path)
-    assert fn(3) == 6
-    trace.end_run()
-    (rec,) = _spans(path)
-    assert rec["name"] == "decorated.call"
-    assert rec["attrs"] == {"kind": "test"}
-    assert calls == [2, 3]
 
 
 def test_remote_parent_adopts_foreign_id(trace_file):

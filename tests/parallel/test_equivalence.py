@@ -2,9 +2,11 @@
 
 The determinism contract of `repro.parallel` is that the worker count can
 never perturb any result: tasks are pure functions of their arguments and
-gather in submission order.  These tests pin that contract on the real
-consumers — the RFE fold fan-out and the forecasting ablation grid — and
-on the KFold split streams they build their tasks from.
+gather in submission order.  These tests pin that contract on the RFE
+fold fan-out, on the frozen forecasting ablation grid of
+``tests/graph/legacy_drivers.py`` (which maps the live ``_score_windows``
+cells over the pool), and on the KFold split streams they build their
+tasks from.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.forecasting import ablation_grid
 from repro.ml.attention import AttentionForecaster
 from repro.ml.gbr import GradientBoostedRegressor
 from repro.ml.model_selection import KFold
 from repro.ml.rfe import relevance_scores
+from tests.graph.legacy_drivers import ablation_grid
 
 
 def _fast_gbr() -> GradientBoostedRegressor:

@@ -16,7 +16,6 @@ from repro.parallel import (
     in_worker,
     parallel_map,
     shutdown_pool,
-    task_seed,
 )
 
 
@@ -113,13 +112,6 @@ def test_shared_pool_reuse_and_recreate():
         assert p3.workers == 3
     finally:
         shutdown_pool()
-
-
-def test_task_seed_is_stable_and_label_sensitive():
-    assert task_seed("ds", 0) == task_seed("ds", 0)
-    assert task_seed("ds", 0) != task_seed("ds", 1)
-    assert task_seed("ds", 0) != task_seed("other", 0)
-    assert 0 <= task_seed("ds", 0) < 2**31
 
 
 def test_chunked():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import TINY, rng_for
-from repro.system.jobs import JobRecord, JobRequest
+from repro.system.jobs import JobRequest
 from repro.system.scheduler import Scheduler
 from repro.topology.dragonfly import DragonflyTopology
 
@@ -133,15 +133,6 @@ def test_utilisation(tiny_topo, sched):
     res = sched.schedule([_req("a", 0.0, 64, 100.0)])
     u = res.utilisation(50.0, len(tiny_topo.compute_nodes))
     assert u == pytest.approx(64 / len(tiny_topo.compute_nodes))
-
-
-def test_job_record_overlaps():
-    req = _req("u", 0.0, 4, 10.0)
-    rec = JobRecord(1, req, 5.0, 15.0, np.arange(4))
-    assert rec.overlaps(0, 6)
-    assert rec.overlaps(14, 20)
-    assert not rec.overlaps(15, 20)
-    assert not rec.overlaps(0, 5)
 
 
 @given(seed=st.integers(0, 200))

@@ -54,14 +54,6 @@ def test_placement_features(log, tiny_topo):
     assert 1 <= feats["NUM_GROUPS"] <= tiny_topo.groups
 
 
-def test_co_occurrence_matrix(log):
-    probes = log.result.probes()
-    m, vocab = log.co_occurrence_matrix(probes, min_nodes=4)
-    assert m.shape == (1, len(vocab))
-    assert vocab == ["User-2", "User-5"]
-    assert (m == 1).all()
-
-
 # --------------------------------------------------------------------- #
 # mpiP
 # --------------------------------------------------------------------- #
@@ -88,13 +80,6 @@ def test_profile_congestion_lands_on_blocking_routines():
         else:
             # Posting routines grow at most marginally (renormalisation).
             assert slow.routine_times[name] <= 1.2 * base.routine_times[name]
-
-
-def test_profile_dominant_routines():
-    app = get_application("miniVite-128")
-    sm = app.step_model()
-    prof = profile_run(app, sm.compute, sm.mpi)
-    assert prof.dominant_routines(1) == ["Waitall"]
 
 
 def test_profile_jitter_reproducible():

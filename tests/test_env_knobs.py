@@ -1,5 +1,5 @@
 """Every ``REPRO_*`` environment knob the package reads is documented,
-and the boolean ones all parse the same way.
+the boolean ones all parse the same way, and the CLIs check them first.
 
 ``docs/development.md`` keeps one table of the knobs.  The first test
 collects every ``REPRO_*`` name that appears under ``src/`` and requires
@@ -9,16 +9,21 @@ removed one cannot linger in the table.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.config import resolve_workers
 from repro.experiments.context import fast_requested
 from repro.features.store import feature_cache_enabled
 from repro.graph.store import artifact_cache_enabled
 from repro.obs import env_flag
 from repro.obs.trace import profile_requested, trace_requested
+from repro.parallel import effective_workers
 
 ROOT = Path(__file__).resolve().parents[1]
 KNOB = r"REPRO_[A-Z][A-Z_]*"
@@ -75,3 +80,96 @@ def test_env_flag_default_applies_only_when_unset(monkeypatch):
     assert env_flag("REPRO_FAST", True) is True
     monkeypatch.setenv("REPRO_FAST", "")
     assert env_flag("REPRO_FAST", True) is False
+
+
+# --------------------------------------------------------------------------- #
+# The CLI boundary: bad values and --workers
+# --------------------------------------------------------------------------- #
+
+SRC = ROOT / "src"
+
+#: (CLI, its arguments, bad environment, the knob the error must name).
+#: ``repro.campaign`` does not read REPRO_FAST; its ``stream --drift``
+#: also reads the two store toggles.
+BAD_VALUES = [
+    *(
+        pytest.param(cli, args, env, knob, id=f"{cli}-{knob}")
+        for cli, args in [
+            ("repro.experiments", ["table01"]),
+            ("repro.campaign", ["--fast"]),
+        ]
+        for env, knob in [
+            ({"REPRO_TRACE": "maybe"}, "REPRO_TRACE"),
+            ({"REPRO_LOG_LEVEL": "LOUD"}, "REPRO_LOG_LEVEL"),
+            ({"REPRO_TRACE": "1", "REPRO_TRACE_MAX_MB": "abc"}, "REPRO_TRACE_MAX_MB"),
+            ({"REPRO_WORKERS": "two"}, "REPRO_WORKERS"),
+        ]
+    ),
+    pytest.param(
+        "repro.experiments", ["table01"], {"REPRO_FAST": "off"}, "REPRO_FAST",
+        id="repro.experiments-REPRO_FAST",
+    ),
+    pytest.param(
+        "repro.campaign", ["stream", "--fast", "--drift"],
+        {"REPRO_FEATURE_CACHE": "maybe"}, "REPRO_FEATURE_CACHE",
+        id="repro.campaign-stream-REPRO_FEATURE_CACHE",
+    ),
+]
+
+
+@pytest.mark.parametrize("cli, args, bad, knob", BAD_VALUES)
+def test_bad_knob_is_a_usage_error_before_any_work(tmp_path, cli, args, bad, knob):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    cache = tmp_path / "cache"
+    env.update(bad, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(cache))
+    out = subprocess.run(
+        [sys.executable, "-m", cli, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"{cli}") and ": error: " in last and knob in last
+    assert not cache.exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_experiments_workers_flag_covers_all_work(monkeypatch):
+    """``--workers 3`` beats an inherited REPRO_WORKERS=1 for the stage
+    pool and for the campaign generation the run triggers."""
+    import repro.experiments.__main__ as cli
+
+    seen = {}
+
+    def run(ids, campaign=None, fast=False, workers=None, force=False):
+        seen["stages"] = effective_workers(workers)
+        seen["generation"] = resolve_workers(None)
+        raise _Stop
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    monkeypatch.setattr(cli, "run_experiments", run)
+    with pytest.raises(_Stop):
+        cli.main(["table01", "--workers", "3"])
+    assert seen == {"stages": 3, "generation": 3}
+
+
+def test_campaign_workers_flag_covers_all_work(monkeypatch):
+    import repro.campaign.__main__ as cli
+
+    seen = {}
+
+    def run(cfg, progress=False):
+        seen["generation"] = resolve_workers(cfg.workers)
+        raise _Stop
+
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    monkeypatch.setattr(cli, "run_campaign", run)
+    with pytest.raises(_Stop):
+        cli.main(["--fast", "--workers", "3"])
+    assert seen == {"generation": 3}

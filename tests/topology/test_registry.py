@@ -17,7 +17,6 @@ from repro.topology.registry import (
     canonical_routing,
     canonical_topology,
     cell_id,
-    is_default_cell,
     parse_cell,
     resolve_cell,
     routing_spec,
@@ -103,8 +102,8 @@ def test_cells():
         "ugal",
     )
     assert resolve_cell("df", "adaptive") == DEFAULT_CELL
-    assert is_default_cell(*resolve_cell("aries", "ugal"))
-    assert not is_default_cell("df+", "ugal")
+    assert resolve_cell("aries", "ugal") == DEFAULT_CELL
+    assert resolve_cell("df+", "ugal") != DEFAULT_CELL
     assert parse_cell("df+/valiant") == ("df+", "valiant")
     assert parse_cell("dfplus/val") == ("df+", "valiant")
     assert cell_id("df+", "valiant") == "df+/valiant"

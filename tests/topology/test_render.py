@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.topology.render import (
-    render_group,
-    render_group_connectivity,
-    render_utilisation,
-)
+from repro.topology.render import render_group
 
 
 def test_render_group(tiny_topo):
@@ -28,20 +23,6 @@ def test_render_group_compute_only(tiny_topo):
     assert "io0" not in text
 
 
-def test_render_connectivity(tiny_topo):
-    text = render_group_connectivity(tiny_topo)
-    assert f"{tiny_topo.groups} groups" in text
-    assert " x " in text and " . " in text
-
-
-def test_render_utilisation(tiny_topo):
-    loads = np.zeros(tiny_topo.num_links)
-    loads[: tiny_topo.num_green] = 0.5 * tiny_topo.link_capacity[: tiny_topo.num_green]
-    text = render_utilisation(tiny_topo, loads)
-    assert "green" in text and "blue" in text
-    assert "mean=0.500" in text
-
-
 def test_render_plus_group():
     from repro.topology.dragonfly_plus import DragonflyPlusTopology
 
@@ -53,21 +34,6 @@ def test_render_plus_group():
     assert "io" not in render_group(t, 2).split("\n", 1)[1]
     with pytest.raises(ValueError):
         render_group(t, 3)
-
-
-def test_render_plus_connectivity_and_utilisation():
-    import numpy as np
-
-    from repro.topology.dragonfly_plus import DragonflyPlusTopology
-
-    t = DragonflyPlusTopology(groups=3, leaf_size=3, spine_size=2, nodes_per_router=2)
-    conn = render_group_connectivity(t)
-    assert "3 groups" in conn
-    loads = np.zeros(t.num_links)
-    loads[: t.num_up] = 0.5 * t.link_capacity[: t.num_up]
-    text = render_utilisation(t, loads)
-    assert "up" in text and "down" in text and "global" in text
-    assert "mean=0.500" in text
 
 
 def test_render_unknown_topology_degrades():

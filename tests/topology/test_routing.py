@@ -153,16 +153,6 @@ def test_flow_max_metric(tiny_topo, tiny_router):
     assert mx[1] == pytest.approx(0.0)
 
 
-def test_flow_mean_metric_weighted(tiny_topo, tiny_router):
-    t = tiny_topo
-    src = np.array([int(t.router_id(0, 0, 0))])
-    dst = np.array([int(t.router_id(0, 0, 1))])  # single green link
-    routing = tiny_router.route(src, dst)
-    metric = np.full(t.num_links, 0.25)
-    mean = routing.minimal.flow_mean_metric(metric, 1)
-    assert mean[0] == pytest.approx(0.25)
-
-
 @given(seed=st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_property_all_shares_positive_links_valid(seed):
