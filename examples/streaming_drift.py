@@ -8,9 +8,10 @@ retrained on the previous window (**fresh**) and the model trained once
 on window 0 (**stale**); the gap is the drift.
 
 Re-running with one more window generates *only* that window: the
-existing shards load from the per-window campaign cache, their feature
-tensors from the per-shard feature cache.  The graph-memoized version of
-the same numbers is ``python -m repro.campaign stream --drift``.
+existing shards load from the per-window campaign cache, and their
+feature tensors are rebuilt in memory, which costs less than loading
+them.  The graph-memoized version of the same numbers is
+``python -m repro.campaign stream --drift``.
 
 Run:  python examples/streaming_drift.py          (~1-2 minutes)
       REPRO_FAST=1 runs 2-day windows at test scale.

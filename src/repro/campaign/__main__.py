@@ -14,26 +14,31 @@ import sys
 from repro.campaign.inspect import render_summary, summarize_campaign
 from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.config import apply_workers_flag
+from repro.experiments.context import resolve_fast
 from repro.obs import configure_logging, ensure_run, get_logger
 
 _LOG = get_logger("campaign")
 
 
-def _resolve_knobs(parser: argparse.ArgumentParser, workers, *readers) -> None:
+def _resolve_knobs(parser: argparse.ArgumentParser, args, *readers) -> bool:
     """Read every ``REPRO_*`` value knob the run uses, before any work.
 
     A bad value ends the CLI as a usage error (exit 2) naming the knob,
     not as a traceback from the middle of a run.  ``--workers N`` is
-    applied to the whole invocation here.
+    applied to the whole invocation here.  Returns the resolved fast
+    flag (``--fast`` or ``REPRO_FAST``, :func:`resolve_fast`), the one
+    scale the whole invocation uses.
     """
     try:
         configure_logging()
-        apply_workers_flag(workers)
+        apply_workers_flag(args.workers)
+        fast = resolve_fast(args.fast)
         for read in readers:
             read()
         ensure_run()
     except ValueError as exc:
         parser.error(str(exc))
+    return fast
 
 
 def _resolve_axis(parser: argparse.ArgumentParser, args) -> dict:
@@ -78,7 +83,9 @@ def stream_main(argv: list[str]) -> int:
         "everything else loads from the per-window caches.",
     )
     parser.add_argument(
-        "--fast", action="store_true", help="test-scale windows"
+        "--fast",
+        action="store_true",
+        help="test-scale windows; also honoured via REPRO_FAST=1",
     )
     parser.add_argument(
         "--windows",
@@ -132,21 +139,13 @@ def stream_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     readers = ()
     if args.drift or args.explain or args.check_incremental:
-        # The drift DAG runs over the artifact and feature stores.
-        from repro.experiments.context import resolve_fast
-        from repro.features.store import feature_cache_enabled
+        # The drift DAG runs over the artifact store.
         from repro.graph.store import artifact_cache_enabled
 
-        readers = (
-            lambda: resolve_fast(args.fast),
-            artifact_cache_enabled,
-            feature_cache_enabled,
-        )
-    _resolve_knobs(parser, args.workers, *readers)
+        readers = (artifact_cache_enabled,)
+    fast = _resolve_knobs(parser, args, *readers)
     axis = _resolve_axis(parser, args)
-    cfg = (
-        CampaignConfig.tiny(**axis) if args.fast else CampaignConfig.small(**axis)
-    )
+    cfg = CampaignConfig.tiny(**axis) if fast else CampaignConfig.small(**axis)
 
     from repro.campaign.streaming import StreamConfig, render_stream, run_stream
 
@@ -167,7 +166,7 @@ def stream_main(argv: list[str]) -> int:
         )
         from repro.graph import render_plan
 
-        plans = plan_stream_drift(campaign, keys=keys, fast=args.fast)
+        plans = plan_stream_drift(campaign, keys=keys, fast=fast)
         if args.explain:
             print(render_plan(plans))
         if args.check_incremental:
@@ -186,7 +185,7 @@ def stream_main(argv: list[str]) -> int:
     if args.drift:
         from repro.experiments.stream_drift import stream_drift
 
-        result = stream_drift(campaign, keys=keys, fast=args.fast)
+        result = stream_drift(campaign, keys=keys, fast=fast)
         print(result.render())
     return 0
 
@@ -201,7 +200,9 @@ def main(argv: list[str] | None = None) -> int:
         "print per-dataset summary statistics.",
     )
     parser.add_argument(
-        "--fast", action="store_true", help="test-scale campaign"
+        "--fast",
+        action="store_true",
+        help="test-scale campaign; also honoured via REPRO_FAST=1",
     )
     parser.add_argument(
         "--regenerate",
@@ -225,11 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     _axis_arguments(parser)
     args = parser.parse_args(argv)
-    _resolve_knobs(parser, args.workers)
+    fast = _resolve_knobs(parser, args)
     axis = _resolve_axis(parser, args)
-    cfg = (
-        CampaignConfig.tiny(**axis) if args.fast else CampaignConfig.small(**axis)
-    )
+    cfg = CampaignConfig.tiny(**axis) if fast else CampaignConfig.small(**axis)
     if args.regenerate:
         # Drop the cached entry (under the saver lock, so a concurrent
         # generator isn't pulled out from under) and regenerate; the

@@ -145,10 +145,11 @@ class RunDataset:
     """One of the six campaign datasets.
 
     ``campaign_fingerprint`` is the provenance stamp: the fingerprint of
-    the campaign (or stream) this dataset came out of.  It keys every
-    derived-data cache (:class:`repro.features.FeatureStore`), so it is
+    the campaign (or stream) this dataset came out of.  The stage graph
+    addresses the artifacts of a supplied campaign by it
+    (:class:`repro.experiments.context.ExperimentContext`), so it is
     persisted with the dataset and restored on load — a warm load must
-    never silently re-key the feature cache onto an array-content hash.
+    address the same artifacts as the run that generated it.
 
     Streamed datasets additionally carry ``shard_views`` (the ordered
     per-window :class:`RunDataset` shards, each stamped with its own

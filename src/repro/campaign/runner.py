@@ -350,12 +350,13 @@ class ProbeRunContext:
 
         flows = app.flow_geometry(topology, nodes)
         self.flows = flows
-        routed = engine.route(flows)
-        self.routing = routed.routing
+        # Only construction reads the routing incidences, so they stay
+        # local instead of living on in every cached context.
+        routing = engine.route(flows).routing
         n_links = topology.num_links
         vol = flows.volume
-        self.load_min = self.routing.minimal.link_loads(vol, n_links)
-        self.load_val = self.routing.valiant.link_loads(vol, n_links)
+        self.load_min = routing.minimal.link_loads(vol, n_links)
+        self.load_val = routing.valiant.link_loads(vol, n_links)
         # Split each path set into endpoint-adjacent ("edge") hops, which
         # adaptive routing cannot avoid, and middle hops, which it can
         # partially steer around (see MID_HOP_DISCOUNT).  One stable sort
@@ -376,8 +377,8 @@ class ProbeRunContext:
                 _SegMax(flow[n_edge:], link[n_edge:], len(flows)),
             )
 
-        self.seg_min_edge, self.seg_min_mid = _edge_mid(self.routing.minimal)
-        self.seg_val_edge, self.seg_val_mid = _edge_mid(self.routing.valiant)
+        self.seg_min_edge, self.seg_min_mid = _edge_mid(routing.minimal)
+        self.seg_val_edge, self.seg_val_mid = _edge_mid(routing.valiant)
         r = topology.num_routers
         self.inj_unit = np.bincount(flows.src, weights=vol, minlength=r)
         self.ej_unit = np.bincount(flows.dst, weights=vol, minlength=r)

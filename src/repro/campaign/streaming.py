@@ -24,17 +24,15 @@ Identity model::
     stream fingerprint  = window fp            (single window)
                         = sha256 over the ordered window fps (else)
 
-The shard fingerprint is *by construction* the same value
-:meth:`repro.features.FeatureStore.fingerprint` derives for a dataset
-stamped with the window fingerprint — one identity names the shard in
-the feature cache, the stage graph (``Stage.shard``), and the stream
-manifest persisted under ``<cache>/streams/<stream fp>.json``.
+One shard fingerprint names the shard in the stage graph
+(``Stage.shard``) and in the stream manifest persisted under
+``<cache>/streams/<stream fp>.json``.
 
 The combined per-key dataset concatenates the shard runs (start times
 offset by the window origin, run indices renumbered) and carries the
 shard views for the shard-scoped graph stages (:func:`shard_view`).
-Features of a combined dataset come from the ordinary monolithic build,
-keyed by the stream fingerprint.
+Features of a combined dataset, like those of a shard, are built in
+memory by its :class:`~repro.features.FeatureStore`.
 """
 
 from __future__ import annotations
@@ -76,9 +74,8 @@ def window_seed(seed: int, window: int) -> int:
 def shard_fingerprint(window_fingerprint: str, key: str) -> str:
     """Content fingerprint of one ``(window, dataset key)`` shard.
 
-    Identical to the :class:`~repro.features.FeatureStore` dataset
-    fingerprint of the shard's ``RunDataset`` (stamped with the window
-    campaign fingerprint) — one identity across cache, graph, manifest.
+    The window campaign fingerprint determines the shard's data, so this
+    one identity names the shard in the graph and the manifest.
     """
     return hashlib.sha256(f"{window_fingerprint}/{key}".encode()).hexdigest()[:16]
 

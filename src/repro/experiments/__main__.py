@@ -23,7 +23,6 @@ from repro.experiments import (
 )
 from repro.experiments.context import resolve_fast
 from repro.experiments.export import ExportError, export_result
-from repro.features.store import feature_cache_enabled
 from repro.graph.store import artifact_cache_enabled
 from repro.obs import configure_logging, ensure_run
 
@@ -77,7 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         apply_workers_flag(args.workers)
         resolve_fast(args.fast)
         artifact_cache_enabled()
-        feature_cache_enabled()
         ensure_run()
     except ValueError as exc:
         parser.error(str(exc))

@@ -10,10 +10,10 @@ The campaign scale follows ``fast`` and the ``REPRO_FAST`` environment
 
 The in-process campaign cache is bounded (LRU over
 :data:`_CACHE_CAP` = 2 entries) and keyed by
-``CampaignConfig.fingerprint()`` — the same fingerprint that roots each
-dataset's :class:`~repro.features.FeatureStore` entries, so evicting a
-campaign releases its derived-feature memos with it (they live on the
-dataset objects).  :func:`clear_cache` drops both layers explicitly.
+``CampaignConfig.fingerprint()``.  Each dataset's
+:class:`~repro.features.FeatureStore` memo lives on the dataset object,
+so evicting a campaign releases its derived features with it.
+:func:`clear_cache` drops both layers explicitly.
 """
 
 from __future__ import annotations

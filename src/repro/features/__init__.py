@@ -1,8 +1,8 @@
 """Derived-data layer: one place that turns campaign datasets into model food.
 
 Everything downstream of campaign generation — tier feature matrices,
-mean trends / mean-centered views, and sliding-window tensors — is built
-here exactly once per dataset:
+the flat mean-centered view, and sliding-window tensors — is built here
+once per dataset in a process:
 
 * :mod:`~repro.features.spec` — :class:`FeatureSpec`, the single source
   of truth for which columns a feature view contains (the §V-C ablation
@@ -11,19 +11,12 @@ here exactly once per dataset:
 * :mod:`~repro.features.windows` — the pure sliding-window construction
   of the paper's Fig. 6 (:func:`build_windows`);
 * :mod:`~repro.features.store` — :class:`FeatureStore`, which memoizes
-  every derived view in process and persists the expensive ones under
-  the campaign cache machinery (atomic writes, ``flock``, corruption =
-  warned miss), keyed by (dataset fingerprint, feature spec, feature
-  format version).
+  every derived view in process (it writes nothing to disk: a view is
+  cheaper to rebuild than to load).
 """
 
 from repro.features.spec import LDMS_SPEC, TIERS, FeatureSpec
-from repro.features.store import (
-    FEATURE_FORMAT_VERSION,
-    FeatureStore,
-    clear_feature_caches,
-    get_store,
-)
+from repro.features.store import FeatureStore, clear_feature_caches, get_store
 from repro.features.windows import build_windows, validate_window_params
 
 __all__ = [
@@ -33,7 +26,6 @@ __all__ = [
     "FeatureStore",
     "get_store",
     "clear_feature_caches",
-    "FEATURE_FORMAT_VERSION",
     "build_windows",
     "validate_window_params",
 ]

@@ -45,8 +45,8 @@ def score_on_shard(model, ds, m: int, k: int, tier: "str | FeatureSpec") -> floa
     """MAPE of a trained forecaster on one shard's (m, k, tier) windows.
 
     The windows come from the shard dataset's own
-    :class:`~repro.features.FeatureStore`, so a provenance-stamped shard
-    serves them from the persisted feature cache.
+    :class:`~repro.features.FeatureStore`, so every score on one shard
+    in a process shares one in-memory window build.
     """
     spec = FeatureSpec.resolve(tier)
     x, y, _ = get_store(ds).windows(spec, m, k)

@@ -67,7 +67,6 @@ __all__ = [
 #: stage's own outputs.
 _CACHE_COUNTER_NAMES = (
     "features.cache.hits",
-    "features.cache.disk_hits",
     "features.cache.misses",
     "campaign.cache.hits",
     "campaign.cache.misses",

@@ -135,14 +135,12 @@ def span_tree(spans: list[dict]) -> list[tuple[int, dict]]:
 def _cache_summary(metrics: dict[str, object]) -> list[str]:
     lines = []
     hits = int(metrics.get("features.cache.hits", 0) or 0)
-    disk = int(metrics.get("features.cache.disk_hits", 0) or 0)
     misses = int(metrics.get("features.cache.misses", 0) or 0)
-    total = hits + disk + misses
+    total = hits + misses
     if total:
         lines.append(
-            f"feature cache: {hits} memo hits, {disk} disk hits, "
-            f"{misses} builds "
-            f"({100.0 * (hits + disk) / total:.1f}% hit rate)"
+            f"feature cache: {hits} memo hits, {misses} builds "
+            f"({100.0 * hits / total:.1f}% hit rate)"
         )
     camp_hits = int(metrics.get("campaign.cache.hits", 0) or 0)
     camp_miss = int(metrics.get("campaign.cache.misses", 0) or 0)

@@ -14,9 +14,12 @@ The live ``_SegMax`` now keeps per-pass link arrays instead of the
 sorted ``link``/``seg_starts``/``seg_flows`` segments, so its
 constructor and its ``maximum.reduceat`` form are frozen here too
 (:class:`SegMax`, :func:`seg_max_block`).  ``solve_step`` builds its
-four segment sets from ``ctx.routing`` with that copy
-(:func:`segments`, the edge/mid split of ``ProbeRunContext.__init__``)
-instead of reading them from the live context.
+four segment sets with that copy (:func:`segments`, the edge/mid split
+of ``ProbeRunContext.__init__``) instead of reading them from the live
+context.  The live context no longer keeps its routing incidences, so
+:func:`segments` routes the context's flows again with its own engine;
+routing is deterministic, so the incidences are the ones the context
+was built from.
 
 ``tests/campaign/test_batched_solver.py`` monkeypatches
 :func:`solve_one_run_reference` in as the campaign's per-run solve
@@ -84,6 +87,7 @@ def segments(ctx) -> tuple[SegMax, SegMax, SegMax, SegMax]:
     segs = _SEGMENTS.get(ctx)
     if segs is None:
         flows = ctx.flows
+        routing = ctx.engine.route(flows).routing
         ls, ld = ctx.topology.link_endpoints
 
         def _edge_mask(inc: Incidence) -> np.ndarray:
@@ -91,13 +95,13 @@ def segments(ctx) -> tuple[SegMax, SegMax, SegMax, SegMax]:
                 ld[inc.link] == flows.dst[inc.flow]
             )
 
-        m_edge = _edge_mask(ctx.routing.minimal)
-        v_edge = _edge_mask(ctx.routing.valiant)
+        m_edge = _edge_mask(routing.minimal)
+        v_edge = _edge_mask(routing.valiant)
         segs = (
-            SegMax(ctx.routing.minimal, len(flows), m_edge),
-            SegMax(ctx.routing.minimal, len(flows), ~m_edge),
-            SegMax(ctx.routing.valiant, len(flows), v_edge),
-            SegMax(ctx.routing.valiant, len(flows), ~v_edge),
+            SegMax(routing.minimal, len(flows), m_edge),
+            SegMax(routing.minimal, len(flows), ~m_edge),
+            SegMax(routing.valiant, len(flows), v_edge),
+            SegMax(routing.valiant, len(flows), ~v_edge),
         )
         _SEGMENTS[ctx] = segs
     return segs

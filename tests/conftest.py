@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import logging
+import os
+
 import numpy as np
 import pytest
 
 from repro.config import TINY, rng_for
 from repro.network.engine import CongestionEngine
+from repro.obs import log as obs_log
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.routing import AdaptiveRouter
 
@@ -39,6 +43,29 @@ def _no_artifact_cache(request, monkeypatch):
     if request.node.get_closest_marker("artifact_cache"):
         return
     monkeypatch.setenv("REPRO_ARTIFACT_CACHE", "0")
+
+
+@pytest.fixture(autouse=True)
+def _reset_logging():
+    """Undo what a CLI's ``configure_logging()`` leaves behind.
+
+    A test that calls a CLI ``main`` in-process attaches a ``repro``
+    stream handler bound to pytest's captured stderr; once that capture
+    closes, every later record from any test would fail to print.  The
+    call also exports ``REPRO_LOG_LEVEL`` into the session environment.
+    """
+    level_env = os.environ.get(obs_log.LOG_LEVEL_ENV)
+    yield
+    logger = logging.getLogger("repro")
+    for handler in list(logger.handlers):
+        logger.removeHandler(handler)
+    logger.setLevel(logging.NOTSET)
+    logger.propagate = True
+    obs_log._CONFIGURED = False
+    if level_env is None:
+        os.environ.pop(obs_log.LOG_LEVEL_ENV, None)
+    else:
+        os.environ[obs_log.LOG_LEVEL_ENV] = level_env
 
 
 @pytest.fixture()

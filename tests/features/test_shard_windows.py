@@ -41,9 +41,7 @@ def _streamed(counts, key="SYN-64", t=12):
 
 
 def _assert_identical(combined, mono, spec, m, k, align_m=None):
-    xs, ys, gs = get_store(combined, persist=False).windows(
-        spec, m, k, align_m=align_m
-    )
+    xs, ys, gs = get_store(combined).windows(spec, m, k, align_m=align_m)
     xm, ym, gm = build_windows(
         spec.matrix(mono), [r.step_times for r in mono.runs], m, k,
         align_m=align_m,
@@ -69,7 +67,7 @@ def test_shard_windows_byte_identical_with_align():
 def test_shard_tier_matrix_byte_identical():
     combined, mono = _streamed([2, 4])
     spec = FeatureSpec.resolve("app+placement+io+sys")
-    xs = get_store(combined, persist=False).features(spec)
+    xs = get_store(combined).features(spec)
     assert xs.tobytes() == np.ascontiguousarray(spec.matrix(mono)).tobytes()
 
 
@@ -78,7 +76,7 @@ def test_shard_channel_windows_byte_identical():
     from repro.features import LDMS_SPEC
 
     ch = LDMS_SPEC.feature_names()[0]
-    xs, ys, gs = get_store(combined, persist=False).channel_windows(ch, 3, 2)
+    xs, ys, gs = get_store(combined).channel_windows(ch, 3, 2)
     feats = LDMS_SPEC.matrix(mono)
     xm, ym, gm = build_windows(feats, feats[:, :, 0], 3, 2)
     assert np.array_equal(xs, xm)
@@ -104,7 +102,7 @@ def test_real_stream_windows_byte_identical_per_cell(
     assert len(ds.shard_views) == 2
     spec = FeatureSpec.resolve("app")
     for m, k in [(1, 1), (4, 3)]:
-        xs, ys, gs = get_store(ds, persist=False).windows(spec, m, k)
+        xs, ys, gs = get_store(ds).windows(spec, m, k)
         xm, ym, gm = build_windows(
             spec.matrix(ds), [r.step_times for r in ds.runs], m, k
         )

@@ -1,4 +1,4 @@
-"""FeatureStore behaviour: memoization, disk roundtrip, corruption, windows."""
+"""FeatureStore behaviour: memoization, views, windows, and no disk writes."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.features import (
     LDMS_SPEC,
     TIERS,
     FeatureSpec,
-    FeatureStore,
     build_windows,
     clear_feature_caches,
     get_store,
@@ -18,11 +17,11 @@ from repro.features import (
 from repro.obs import METRICS
 
 
-def _counts() -> tuple[int, int, int]:
-    """(memo hits, disk hits, misses) of the feature-cache counters."""
+def _counts() -> tuple[int, int]:
+    """(memo hits, misses) of the feature-cache counters."""
     return tuple(
         METRICS.counter(f"features.cache.{name}").value
-        for name in ("hits", "disk_hits", "misses")
+        for name in ("hits", "misses")
     )
 
 
@@ -51,7 +50,7 @@ def _dataset(key="SYN-64", n=6, t=12, seed=0):
 
 @pytest.fixture(autouse=True)
 def _isolated_cache(monkeypatch, tmp_path):
-    """Point disk persistence at a throwaway dir and reset the counters."""
+    """Point the cache dir at a throwaway dir and reset the counters."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     METRICS.reset()
     yield tmp_path
@@ -66,9 +65,9 @@ def _isolated_cache(monkeypatch, tmp_path):
 def test_memo_hit_after_first_build():
     store = get_store(_dataset())
     a = store.features("app")
-    assert _counts() == (0, 0, 1)
+    assert _counts() == (0, 1)
     b = store.features("app")
-    assert _counts() == (1, 0, 1)
+    assert _counts() == (1, 1)
     assert a is b
 
 
@@ -96,9 +95,9 @@ def test_aliased_spec_shares_cache_entry():
     assert alias.token == TIERS["app+placement"].token
     store = get_store(_dataset())
     store.features("app+placement")
-    misses = _counts()[2]
+    misses = _counts()[1]
     store.features(alias)
-    assert _counts()[2] == misses  # served from the same memo entry
+    assert _counts()[1] == misses  # served from the same memo entry
 
 
 def test_unknown_tier_raises():
@@ -111,74 +110,18 @@ def test_clear_feature_caches_drops_memo():
     store.features("app")
     clear_feature_caches()
     store.features("app")
-    # Second build is not a memo hit: disk hit (persisted) or rebuild.
-    hits, disk_hits, misses = _counts()
-    assert hits == 0
-    assert disk_hits + misses == 2
+    assert _counts() == (0, 2)  # rebuilt, not a memo hit
 
 
-# --------------------------------------------------------------------- #
-# disk persistence
-# --------------------------------------------------------------------- #
-
-
-def test_disk_roundtrip_across_objects(_isolated_cache):
-    a = _dataset()
-    ref = get_store(a).features("app")
-    assert _counts() == (0, 0, 1)
-    entries = list(_isolated_cache.rglob("tier-app.npz"))
-    assert len(entries) == 1
-
-    # A distinct object with identical content hits the disk entry.
-    b = _dataset()
-    got = get_store(b).features("app")
-    assert _counts() == (0, 1, 1)
-    assert np.array_equal(got, ref)
-
-
-def test_content_fingerprint_distinguishes_datasets():
-    a, b = _dataset(seed=0), _dataset(seed=1)
-    assert FeatureStore(a).fingerprint() == FeatureStore(a).fingerprint()
-    assert FeatureStore(a).fingerprint() != FeatureStore(b).fingerprint()
-
-
-def test_provenance_fingerprint_wins_over_content():
-    a, b = _dataset(), _dataset()
-    a.campaign_fingerprint = "deadbeef"
-    assert FeatureStore(a).fingerprint() != FeatureStore(b).fingerprint()
-    c = _dataset(seed=7)  # different content, same provenance stamp
-    c.campaign_fingerprint = "deadbeef"
-    assert FeatureStore(a).fingerprint() == FeatureStore(c).fingerprint()
-
-
-def test_corrupt_entry_warns_and_regenerates(_isolated_cache):
-    ref = get_store(_dataset()).features("app")
-    (entry,) = list(_isolated_cache.rglob("tier-app.npz"))
-    entry.write_bytes(b"not a zipfile")
-
-    with pytest.warns(RuntimeWarning, match="corrupt feature cache entry"):
-        got = get_store(_dataset()).features("app")
-    assert np.array_equal(got, ref)
-    assert _counts()[1:] == (0, 2)
-    # The regenerated entry is valid again.
-    with np.load(entry) as npz:
-        assert np.array_equal(npz["x"], ref)
-
-
-def test_cache_disabled_by_env(monkeypatch, _isolated_cache):
-    monkeypatch.setenv("REPRO_FEATURE_CACHE", "0")
-    get_store(_dataset()).features("app")
-    assert list(_isolated_cache.rglob("*.npz")) == []
-
-
-def test_unwritable_cache_degrades_to_memo(monkeypatch, tmp_path):
-    blocker = tmp_path / "blocked"
-    blocker.write_text("a file, not a dir")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker / "sub"))
+def test_store_writes_nothing_to_disk(_isolated_cache):
+    """Every view is built in memory; the cache dir stays empty."""
     store = get_store(_dataset())
-    with pytest.warns(RuntimeWarning, match="cache write failed"):
-        a = store.features("app")
-    assert np.array_equal(a, store.features("app"))  # memo still serves
+    for name in TIERS:
+        store.features(name)
+    store.flat_mean_centered()
+    store.windows("app", m=3, k=2)
+    store.channel_windows("IO_PT_FLIT_TOT", m=3, k=2)
+    assert list(_isolated_cache.iterdir()) == []
 
 
 # --------------------------------------------------------------------- #
@@ -229,7 +172,7 @@ def test_window_params_validated_before_cache():
         store.windows("app", m=4, k=2, align_m=2)  # align_m < m
     with pytest.raises(ValueError):
         store.windows("app", m=0, k=1)
-    assert _counts() == (0, 0, 0)  # nothing was built or cached
+    assert _counts() == (0, 0)  # nothing was built or cached
 
 
 def test_single_run_dataset_windows():

@@ -79,7 +79,6 @@ def test_render_report_table_cache_and_failures(tmp_path):
                 "t": "metrics", "pid": 1, "worker": False,
                 "values": {
                     "features.cache.hits": 3,
-                    "features.cache.disk_hits": 1,
                     "features.cache.misses": 4,
                     "campaign.cache.hits": 1,
                 },
@@ -94,8 +93,8 @@ def test_render_report_table_cache_and_failures(tmp_path):
     assert "run:      r1" in out
     assert "REPRO_FAST=1" in out
     assert "work" in out and "broken" in out
-    # 3 memo + 1 disk out of 10 total accesses across both processes.
-    assert "feature cache: 3 memo hits, 1 disk hits, 6 builds (40.0% hit rate)" in out
+    # 3 memo hits out of 9 total accesses across both processes.
+    assert "feature cache: 3 memo hits, 6 builds (33.3% hit rate)" in out
     assert "campaign cache: 1 hits, 0 generations" in out
     assert "1 span(s) ended in an exception:" in out
     assert "broken: ValueError: nope" in out

@@ -19,7 +19,6 @@ import pytest
 
 from repro.config import resolve_workers
 from repro.experiments.context import fast_requested
-from repro.features.store import feature_cache_enabled
 from repro.graph.store import artifact_cache_enabled
 from repro.obs import env_flag
 from repro.obs.trace import profile_requested, trace_requested
@@ -53,7 +52,6 @@ TOGGLES = [
     ("REPRO_TRACE", trace_requested, False),
     ("REPRO_PROFILE", profile_requested, False),
     ("REPRO_ARTIFACT_CACHE", artifact_cache_enabled, True),
-    ("REPRO_FEATURE_CACHE", feature_cache_enabled, True),
 ]
 
 
@@ -89,8 +87,8 @@ def test_env_flag_default_applies_only_when_unset(monkeypatch):
 SRC = ROOT / "src"
 
 #: (CLI, its arguments, bad environment, the knob the error must name).
-#: ``repro.campaign`` does not read REPRO_FAST; its ``stream --drift``
-#: also reads the two store toggles.
+#: Both CLIs read REPRO_FAST; ``repro.campaign stream --drift`` also
+#: reads the artifact-store toggle.
 BAD_VALUES = [
     *(
         pytest.param(cli, args, env, knob, id=f"{cli}-{knob}")
@@ -105,14 +103,16 @@ BAD_VALUES = [
             ({"REPRO_WORKERS": "two"}, "REPRO_WORKERS"),
         ]
     ),
-    pytest.param(
-        "repro.experiments", ["table01"], {"REPRO_FAST": "off"}, "REPRO_FAST",
-        id="repro.experiments-REPRO_FAST",
+    # No --fast here: an explicit --fast wins without reading REPRO_FAST.
+    *(
+        pytest.param(cli, args, {"REPRO_FAST": "off"}, "REPRO_FAST",
+                     id=f"{cli}-REPRO_FAST")
+        for cli, args in [("repro.experiments", ["table01"]), ("repro.campaign", [])]
     ),
     pytest.param(
         "repro.campaign", ["stream", "--fast", "--drift"],
-        {"REPRO_FEATURE_CACHE": "maybe"}, "REPRO_FEATURE_CACHE",
-        id="repro.campaign-stream-REPRO_FEATURE_CACHE",
+        {"REPRO_ARTIFACT_CACHE": "maybe"}, "REPRO_ARTIFACT_CACHE",
+        id="repro.campaign-stream-REPRO_ARTIFACT_CACHE",
     ),
 ]
 
@@ -134,6 +134,26 @@ def test_bad_knob_is_a_usage_error_before_any_work(tmp_path, cli, args, bad, kno
     last = out.stderr.strip().splitlines()[-1]
     assert last.startswith(f"{cli}") and ": error: " in last and knob in last
     assert not cache.exists()
+
+
+def test_campaign_stream_reads_repro_fast(monkeypatch, tmp_path, capsys):
+    """``REPRO_FAST=1`` without ``--fast`` plans the same drift stages,
+    with the same fingerprints, as ``--fast``: one resolved flag sets
+    both the stream's scale and the drift DAG's."""
+    import repro.campaign.__main__ as cli
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    argv = ["stream", "--windows", "1", "--window-days", "1", "--explain",
+            "--keys", "AMG-128"]
+    outputs = []
+    for env, flags in [({"REPRO_FAST": "1"}, []), ({}, ["--fast"])]:
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert cli.main(argv + flags) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "sd-train:AMG-128:w0:" in outputs[0]
 
 
 class _Stop(Exception):

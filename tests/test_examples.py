@@ -146,7 +146,7 @@ def test_domain_examples_share_one_campaign(example_env):
     """Under REPRO_FAST=1 every domain example resolves to the same
     campaign fingerprint, so CI pays for exactly one generation."""
     cache = Path(example_env["REPRO_CACHE_DIR"])
-    # The cache also holds the derived-feature tree (features/v*/...);
-    # campaign entries are every other top-level directory.
-    entries = [p for p in cache.iterdir() if p.is_dir() and p.name != "features"]
+    # Derived features stay in memory: the only directory is the campaign.
+    assert not (cache / "features").exists()
+    entries = [p for p in cache.iterdir() if p.is_dir()]
     assert len(entries) == 1, entries
