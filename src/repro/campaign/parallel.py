@@ -13,11 +13,13 @@ every probe run.  This module supplies the parallel side:
 * per-worker environment construction (topology, engine, LDMS sampler,
   user population) via the pool initializer, so tasks ship only slim
   specs and **never pickle the runner**;
-* chunked task functions for the three parallel phases:
+* chunked task functions for the two parallel parts of the sweep:
 
-  1. probe mean contributions (routing geometry per probe placement),
-  2. background-job contributions (batched lookahead for the sweep),
-  3. the per-run step solves, fed with shared *per-window* background
+  1. job contributions, loaded in batched lookahead as the sweep reaches
+     each start event: background jobs' (comm, io) loads, and probes'
+     mean loads, whose routing geometry (a :class:`ProbeRunContext`)
+     stays in the building worker's cache for the run's solve;
+  2. the per-run step solves, fed with shared *per-window* background
      snapshots (the accumulator state between two scheduler events)
      instead of per-step copies.
 
@@ -55,22 +57,33 @@ __all__ = [
     "chunked",  # re-exported from repro.parallel (the generalized layer)
 ]
 
-#: Routing-geometry contexts kept alive per worker between the
-#: contribution phase and the solve phase (LRU; rebuilt on miss).
-#: Contexts are a few MB each at benchmark scale; 64 keeps every probe
-#: placement of a months-long campaign resident in the common case where
-#: a handful of apps cycle through O(10) placements, while still
-#: bounding memory for adversarial campaigns (cache size never affects
-#: results — rebuilds are deterministic).
+#: Routing-geometry contexts a worker keeps between loading a probe's
+#: contribution and solving its run (LRU; rebuilt on miss).  Every probe
+#: has its own placement, so each context is built for one run and
+#: popped by that run's solve.  In-process (``workers == 1``) that
+#: leaves only the started-but-unsolved probes plus the loader's
+#: lookahead resident, well under the cap; the cap bounds pool workers,
+#: where one worker can build a context that another one solves (cache
+#: size never affects results — rebuilds are deterministic).
 _CTX_CACHE_CAP = 64
 
-#: Step-block size of the batched solver: each probe run's steps are
-#: solved in blocks of up to this many steps (grouped by background
-#: window).  64 keeps the per-block ``(steps, links)`` scratch matrices
-#: at a few megabytes at benchmark scale while amortising per-step NumPy
-#: dispatch overhead; the result is bit-identical for any block size, so
-#: it is not part of any cache fingerprint.
+#: Most steps per block of the batched solver: each probe run's steps
+#: are solved in blocks (grouped by background window) that amortise
+#: per-step NumPy dispatch overhead.  The result is bit-identical for
+#: any block size, so it is not part of any cache fingerprint.
 _STEP_BLOCK = 64
+
+#: Byte budget of one ``(steps, links)`` float64 array of a block: on
+#: machines with many links a block holds fewer than :data:`_STEP_BLOCK`
+#: steps (28 on the ``small`` dragonfly, 20 on ``small`` df+; the
+#: ``tiny`` machines stay at 64), which bounds the solver's scratch.
+_BLOCK_BYTES = 3 * 2**20
+
+
+def _block_steps(topology: Topology) -> int:
+    """Steps per solver block on ``topology`` (at least one)."""
+    per_step = 8 * topology.num_links
+    return max(1, min(_STEP_BLOCK, _BLOCK_BYTES // per_step))
 
 
 class CampaignWorkerError(WorkerPoolError):
@@ -86,7 +99,6 @@ class CampaignWorkerError(WorkerPoolError):
 class ProbeSpec:
     """What a worker needs to build one probe's routing geometry."""
 
-    pi: int
     job_id: int
     key: str
     long_steps: int | None
@@ -237,14 +249,15 @@ def _get_context(spec_job_id: int, key: str, long_steps: int | None,
 def _task_probe_contributions(
     specs: list[ProbeSpec],
 ) -> list[tuple[int, BaseLoad]]:
-    """Mean traffic contributions (as seen by other jobs) per probe."""
+    """``(job_id, mean traffic contribution as seen by other jobs)`` per
+    probe; each probe's context stays cached for its run's solve."""
     out = []
     with profiled_span("campaign.task.probe_contributions", n=len(specs)):
         for spec in specs:
             ctx = _get_context(
                 spec.job_id, spec.key, spec.long_steps, spec.nodes, keep=True
             )
-            out.append((spec.pi, ctx.mean_contribution()))
+            out.append((spec.job_id, ctx.mean_contribution()))
     return out
 
 
@@ -283,7 +296,7 @@ def _solve_one_run(
 ) -> RunResult:
     """Solve one probe run with the batched step-block solver.
 
-    Steps are processed in blocks of up to :data:`_STEP_BLOCK` steps
+    Steps are processed in blocks of up to :func:`_block_steps` steps
     sharing one background window.  Per block, the per-step background
     ``BaseLoad`` construction, the network solve
     (:meth:`ProbeRunContext.solve_steps`), both counter syntheses
@@ -359,6 +372,7 @@ def _solve_one_run(
 
     window_ids = np.asarray(task.window_ids)
     weather = np.asarray(task.weather, dtype=np.float64)
+    block = _block_steps(topo)
 
     start = 0
     while start < n_steps:
@@ -367,7 +381,7 @@ def _solve_one_run(
         while (
             end < n_steps
             and int(window_ids[end]) == wid
-            and end - start < _STEP_BLOCK
+            and end - start < block
         ):
             end += 1
         steps = list(range(start, end))

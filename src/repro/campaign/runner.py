@@ -790,13 +790,12 @@ class TrafficTimeline:
 class _ContributionStore:
     """Per-job BaseLoads feeding the timeline, dropped at job end.
 
-    Probe contributions are registered up front (computed, possibly in
-    parallel, from each probe's own flow geometry at mean intensity), so
-    overlapping probes see each other — the paper observed exactly this
+    Every job's contribution arrives through ``loader``, which may batch
+    lookahead work across worker processes; it must insert the requested
+    job before returning.  Probes are registered with their mean traffic
+    (from their own flow geometry) like any other job, so overlapping
+    probes see each other — the paper observed exactly this
     self-interference (§V-A: User-8 appears in its own aggressor lists).
-    Background-job contributions arrive through ``loader``, which may
-    batch lookahead work across worker processes; it must insert the
-    requested job before returning.
     """
 
     def __init__(self, topology: Topology, loader) -> None:
@@ -993,7 +992,7 @@ class CampaignRunner:
                 samples.append((float(mids[s]), pi, s))
         samples.sort()
 
-        # 3. Fan the parallel phases out over the worker pool; the
+        # 3. Fan contributions and solves out over the worker pool; the
         #    chronological sweep stays in this process.
         env = par.WorkerEnv(
             cfg,
@@ -1005,7 +1004,6 @@ class CampaignRunner:
         with par.CampaignPool(cfg, workers, env=env) as pool:
             results = self._solve_probes(
                 pool,
-                env,
                 result.jobs,
                 probes,
                 plan_list,
@@ -1065,7 +1063,6 @@ class CampaignRunner:
     def _solve_probes(
         self,
         pool,
-        env,
         all_jobs: list[JobRecord],
         probes: list[JobRecord],
         plan_list: list[_ProbePlan],
@@ -1076,19 +1073,22 @@ class CampaignRunner:
     ) -> dict[int, "object"]:
         """Solve every probe run; returns ``{probe idx: RunResult}``.
 
-        Three phases, all bit-deterministic for any worker count:
+        Two interleaved parts, bit-deterministic for any worker count:
 
-        1. every probe's mean traffic contribution (routing geometry) is
-           computed on the pool and registered with the timeline;
-        2. the chronological sweep walks the samples, folding background
-           contributions in (fetched from the pool in batched lookahead)
-           and snapshotting the accumulators once per *window* (the span
-           between two scheduler events);
-        3. as runs complete their sweep, they are submitted to the pool
+        1. the chronological sweep walks the samples, folding job
+           contributions in and snapshotting the accumulators once per
+           *window* (the span between two scheduler events).  Background
+           jobs and probes reach it through one batched lookahead loader
+           in start-event order; a probe's mean contribution builds its
+           routing geometry on the pool, where its run's solve reuses it,
+           so each context is built when the sweep first needs it;
+        2. as runs complete their sweep, they are submitted to the pool
            in chunks that carry only the window snapshots their steps
            reference; windows are refcounted and freed once every
            referencing run has been dispatched.
         """
+        from collections import deque
+
         from repro.campaign import parallel as par
 
         cfg = self.config
@@ -1097,78 +1097,63 @@ class CampaignRunner:
 
         start = perf_counter()
 
-        # -- phase 1: probe mean contributions --------------------------- #
-        with profiled_span("campaign.probe_contributions", probes=n_probes):
-            specs = [
-                par.ProbeSpec(
-                    pi=pi,
-                    job_id=probes[pi].job_id,
-                    key=plan_list[pi].key,
-                    long_steps=plan_list[pi].long_steps,
-                    nodes=probes[pi].nodes,
-                )
-                for pi in range(n_probes)
-            ]
-            futures = [
-                pool.submit_probe_contributions(chunk)
-                for chunk in par.chunked(specs, workers * 2)
-            ]
-            probe_comm: dict[int, BaseLoad] = {}
-            for fut in futures:
-                for pi, comm in pool.result(fut):
-                    probe_comm[pi] = comm
-        _LOG.info("routed %d probe placements", n_probes)
+        # -- contributions: batched lookahead loader --------------------- #
+        probe_plan = {j.job_id: plan_list[pi] for pi, j in enumerate(probes)}
+        pending = deque(sorted(all_jobs, key=lambda j: (j.start_time, j.job_id)))
+        batch_size = max(32, workers * 16)
 
-        # -- background contributions: batched lookahead loader ---------- #
-        probe_ids = {j.job_id for j in probes}
-        from collections import deque
-
-        pending = deque(
-            sorted(
-                (j for j in all_jobs if j.job_id not in probe_ids),
-                key=lambda j: (j.start_time, j.job_id),
-            )
-        )
-        bg_batch = max(32, workers * 16)
-
-        def _load_bg_batch(job: JobRecord) -> None:
-            # The timeline requests background jobs in start-event order,
-            # which is exactly `pending` order — pull through the
-            # requested job, then extend with lookahead so one pool trip
-            # covers many upcoming start events.
+        def _load_batch(job: JobRecord) -> None:
+            # The timeline requests jobs in start-event order, which is
+            # exactly `pending` order — pull through the requested job,
+            # then extend with lookahead so one pool trip covers many
+            # upcoming start events.
             batch: list[JobRecord] = []
             while pending:
                 nxt = pending.popleft()
                 batch.append(nxt)
                 if nxt.job_id == job.job_id:
                     break
-            while pending and len(batch) < bg_batch:
+            while pending and len(batch) < batch_size:
                 batch.append(pending.popleft())
+            probe_specs = [
+                par.ProbeSpec(
+                    job_id=j.job_id,
+                    key=probe_plan[j.job_id].key,
+                    long_steps=probe_plan[j.job_id].long_steps,
+                    nodes=j.nodes,
+                )
+                for j in batch
+                if j.job_id in probe_plan
+            ]
             bg_specs = [
                 par.BgJobSpec(job_id=j.job_id, user=j.user, nodes=j.nodes)
                 for j in batch
+                if j.job_id not in probe_plan
             ]
-            futs = [
+            probe_futs = [
+                pool.submit_probe_contributions(chunk)
+                for chunk in par.chunked(probe_specs, workers)
+            ]
+            bg_futs = [
                 pool.submit_bg_contributions(chunk)
                 for chunk in par.chunked(bg_specs, workers)
             ]
-            for f in futs:
+            for f in probe_futs:
+                for job_id, comm in pool.result(f):
+                    store.register_probe(job_id, comm)
+            for f in bg_futs:
                 for job_id, comm, io in pool.result(f):
                     store.insert(job_id, comm, io)
             if not store.has(job.job_id):  # pragma: no cover - defensive
-                [(comm, io)] = env.bg_model.contributions_for_batch(
-                    [(job.job_id, job.user, job.nodes)]
+                raise RuntimeError(
+                    f"job {job.job_id} requested out of start-event order"
                 )
-                store.insert(job.job_id, comm, io)
 
-        store = _ContributionStore(self.topology, _load_bg_batch)
-        for pi, comm in probe_comm.items():
-            store.register_probe(probes[pi].job_id, comm)
-
+        store = _ContributionStore(self.topology, _load_batch)
         timeline = TrafficTimeline(store, all_jobs)
         weather = IOWeather(horizon * 1.3, rng_for("io-weather", seed=cfg.seed))
 
-        # -- phases 2+3: sweep, snapshot windows, dispatch run chunks ----- #
+        # -- the sweep: snapshot windows, dispatch run chunks ------------ #
         window_store: dict[int, tuple[BaseLoad, BaseLoad]] = {}
         wref: dict[int, int] = {}
         run_windows: list[set[int]] = [set() for _ in range(n_probes)]

@@ -39,9 +39,11 @@ def resolve_fast(flag: bool | None = None) -> bool:
     An explicit ``fast=True`` (CLI flag or API argument) always wins;
     otherwise the environment decides.  ``REPRO_FAST=0`` therefore does
     *not* override an explicit request — the flag is an opt-in, the env
-    var a default.
+    var a default.  The environment is read either way, so a malformed
+    ``REPRO_FAST`` raises even next to ``--fast``.
     """
-    return bool(flag) or fast_requested()
+    env = fast_requested()
+    return bool(flag) or env
 
 
 def clear_cache() -> None:

@@ -103,11 +103,17 @@ BAD_VALUES = [
             ({"REPRO_WORKERS": "two"}, "REPRO_WORKERS"),
         ]
     ),
-    # No --fast here: an explicit --fast wins without reading REPRO_FAST.
+    # An explicit --fast still wins over a valid REPRO_FAST, but a
+    # malformed one is an error with or without the flag.
     *(
         pytest.param(cli, args, {"REPRO_FAST": "off"}, "REPRO_FAST",
-                     id=f"{cli}-REPRO_FAST")
-        for cli, args in [("repro.experiments", ["table01"]), ("repro.campaign", [])]
+                     id=f"{cli}-REPRO_FAST{'-with-fast' if '--fast' in args else ''}")
+        for cli, args in [
+            ("repro.experiments", ["table01"]),
+            ("repro.experiments", ["table01", "--fast"]),
+            ("repro.campaign", []),
+            ("repro.campaign", ["--fast"]),
+        ]
     ),
     pytest.param(
         "repro.campaign", ["stream", "--fast", "--drift"],
