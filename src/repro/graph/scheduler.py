@@ -28,7 +28,6 @@ worker count) can never perturb any downstream value.
 from __future__ import annotations
 
 import time
-import warnings
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable
@@ -214,9 +213,7 @@ class GraphRunner:
         if self.cell:
             attrs["cell"] = self.cell
         with profiled_span("graph.run", **attrs):
-            out = self._run(targets)
-        self._persist_run_profile()
-        return out
+            return self._run(targets)
 
     def _run(self, targets: list[str]) -> dict[str, object]:
         graph, store, fps = self.graph, self.store, self.fingerprints
@@ -296,28 +293,6 @@ class GraphRunner:
                 entry["load_s"] = round(load_times[name], 6)
             stages.append(entry)
         event("graph.plan", cell=self.cell, stages=stages)
-
-    def _persist_run_profile(self) -> None:
-        """Drop the aggregated run profile next to the stage artifacts
-        (``<store root>/_profiles/<trace stem>.json``) after a profiled
-        run.  Best-effort: a profile write never fails the run."""
-        if not profile_requested() or not self.store.enabled:
-            return
-        from repro.obs import trace as obs_trace
-
-        path = obs_trace.current_trace_path()
-        if path is None:
-            return
-        try:
-            from repro.obs.profile import write_run_profile
-
-            write_run_profile(self.store.root, path)
-        except Exception as exc:  # pragma: no cover - best-effort output
-            warnings.warn(
-                f"could not persist run profile: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     def _execute(self, exec_set: set[str], values: dict[str, object]) -> None:
         graph, store, fps = self.graph, self.store, self.fingerprints

@@ -74,7 +74,12 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs.diff import compare_profiles, load_profile_stages, render_diff
+    from repro.obs.diff import (
+        compare_profiles,
+        load_profile_stages,
+        render_diff,
+        unit_mismatch,
+    )
 
     section = "spans" if args.spans else "stages"
     try:
@@ -82,6 +87,10 @@ def _cmd_diff(args) -> int:
         current = load_profile_stages(args.current, section=section)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"cannot load profile: {exc}", file=sys.stderr)
+        return 2
+    mismatch = unit_mismatch(baseline, current, args.baseline, args.current)
+    if mismatch:
+        print(f"cannot compare profiles: {mismatch}", file=sys.stderr)
         return 2
     lines, failures = compare_profiles(
         baseline,

@@ -18,9 +18,12 @@ Accepted inputs, auto-detected per file:
 When both sides carry ``normalized_wall`` (harness profiles), the
 comparison is machine-speed independent; raw-wall comparisons are only
 meaningful on comparable hardware, which is why CI diffs two harness
-profiles.  Stages below the ``--min-wall`` noise floor and stages
-present on only one side are reported but never fail the gate (the DAG
-legitimately changes shape when experiments are added).
+profiles.  The two units never mix: a harness profile against a raw one
+is refused (:func:`unit_mismatch`), since their ratio is the machine
+calibration, not a change in the code.  Stages below the ``--min-wall``
+noise floor and stages present on only one side are reported but never
+fail the gate (the DAG legitimately changes shape when experiments are
+added).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 #: Hard-fail default: a stage 25% over its baseline wall is a
-#: regression, matching the ``compare_bench`` CI tolerance.
+#: regression (the CI ``profile`` job's threshold).
 DEFAULT_WALL_RATIO = 1.25
 #: Stages cheaper than this (in the profile's wall unit) jitter too
 #: much to gate; they are skipped with a note.
@@ -43,7 +46,8 @@ def load_profile_stages(
     """Normalise any accepted profile input to ``{stage: record}``.
 
     Records carry ``wall`` (preferring ``normalized_wall`` when the
-    source has one), plus ``cpu`` and ``maxrss_kb`` when available.
+    source has one, flagged by ``normalized``), plus ``cpu`` and
+    ``maxrss_kb`` when available.
     ``section="spans"`` selects the per-span-name records instead of
     the graph stages — that is how ``diff --spans`` compares campaign
     internals (``campaign.task.solve``, worker batches, ...) between
@@ -70,7 +74,8 @@ def load_profile_stages(
     out: dict[str, dict] = {}
     for name, rec in raw.items():
         wall = rec.get("normalized_wall")
-        if wall is None:
+        normalized = wall is not None
+        if not normalized:
             wall = rec.get("wall", rec.get("wall_s", 0.0))
         cpu = rec.get("normalized_cpu")
         if cpu is None:
@@ -82,8 +87,34 @@ def load_profile_stages(
             "cpu": None if cpu is None else float(cpu),
             "maxrss_kb": rec.get("maxrss_kb"),
             "status": rec.get("status"),
+            "normalized": normalized,
         }
     return out
+
+
+def unit_mismatch(
+    baseline: dict[str, dict],
+    current: dict[str, dict],
+    baseline_path: "Path | str",
+    current_path: "Path | str",
+) -> str | None:
+    """Why two loaded profiles cannot be compared, or None when they can.
+
+    Harness walls are in calibration units (seconds divided by a
+    machine-speed yardstick), run profiles in raw seconds; every ratio
+    between the two is that yardstick, so a mixed diff would pass or
+    fail on units alone.
+    """
+    base = {rec["normalized"] for rec in baseline.values()}
+    cur = {rec["normalized"] for rec in current.values()}
+    if not (base and cur and base.isdisjoint(cur)):
+        return None
+    unit = {True: "calibration-normalized walls", False: "raw seconds"}
+    return (
+        f"{baseline_path} holds {unit[base.pop()]} but {current_path} "
+        f"holds {unit[cur.pop()]}; diff two harness profiles "
+        "(python -m benchmarks.perf_harness) or two run profiles"
+    )
 
 
 @dataclass

@@ -32,8 +32,7 @@ per-stage (cell-qualified) and per-span-name resource totals, artifact
 hit/miss/run statuses joined from the ``graph.plan`` event, and the
 root span wall that critical-path analysis attributes.
 :func:`write_profile_json` persists it as ``<trace>.profile.json`` next
-to the trace (called by ``trace.end_run``); ``GraphRunner`` also drops
-a copy under ``<artifact store>/_profiles/`` next to the stage outputs.
+to the trace (called by ``trace.end_run``).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "profiled_span",
     "stage_key",
     "write_profile_json",
-    "write_run_profile",
 ]
 
 #: Cache counters sampled around every profiled span — the delta says
@@ -301,31 +299,6 @@ def write_profile_json(trace_path: "Path | str") -> Path | None:
     if prof is None:
         return None
     out = _profile_out_path(trace_path)
-    out.write_text(
-        json.dumps(prof, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return out
-
-
-def write_run_profile(store_root: "Path | str", trace_path: "Path | str") -> Path | None:
-    """Persist the run profile into the artifact store's ``_profiles/``.
-
-    Keeps the resource story next to the stage outputs it describes (no
-    artifact group is ever named with a leading underscore, so the
-    directory cannot collide with stage artifacts).
-    """
-    from repro.obs.report import load_trace
-
-    trace_path = Path(trace_path)
-    prof = build_profile(load_trace(trace_path))
-    if prof is None:
-        return None
-    out_dir = Path(store_root) / "_profiles"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = trace_path.name
-    if stem.endswith(".jsonl"):
-        stem = stem[: -len(".jsonl")]
-    out = out_dir / f"{stem}.json"
     out.write_text(
         json.dumps(prof, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -186,3 +186,34 @@ def test_cli_diff_unreadable_exit_two(tmp_path, capsys):
     bad.write_text("{}")
     cur = _write_profile(tmp_path / "cur.json", a=2.0)
     assert obs_main(["diff", str(bad), str(cur)]) == 2
+
+
+def _write_harness_profile(path, calibration=0.2, **walls):
+    doc = {"name": "profile_all", "calibration_s": calibration, "stages": {
+        name: {"wall_s": w, "normalized_wall": w / calibration,
+               "cpu_s": w, "normalized_cpu": w / calibration,
+               "maxrss_kb": 100, "status": "run"}
+        for name, w in walls.items()
+    }}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_diff_harness_profiles_compare_normalized_walls(tmp_path, capsys):
+    # Same seconds on a machine twice as slow: normalized walls are equal.
+    base = _write_harness_profile(tmp_path / "base.json", 0.1, a=2.0)
+    cur = _write_harness_profile(tmp_path / "cur.json", 0.2, a=4.0)
+    assert obs_main(["diff", str(base), str(cur), "-v"]) == 0
+    assert "(1.00x)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("harness_first", [True, False])
+def test_cli_diff_refuses_mixed_units(tmp_path, capsys, harness_first):
+    harness = _write_harness_profile(tmp_path / "PROFILE_all_fast.json", a=2.0)
+    raw = _write_profile(tmp_path / "run.profile.json", a=2.0)
+    pair = [harness, raw] if harness_first else [raw, harness]
+    assert obs_main(["diff", *map(str, pair)]) == 2
+    assert obs_main(["diff", *map(str, pair), "--warn-only"]) == 2
+    err = capsys.readouterr().err
+    assert str(harness) in err and str(raw) in err
+    assert "calibration-normalized" in err and "raw seconds" in err

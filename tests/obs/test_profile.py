@@ -11,7 +11,6 @@ from repro.obs.profile import (
     profile_requested,
     stage_key,
     write_profile_json,
-    write_run_profile,
 )
 from repro.obs.report import TraceData
 
@@ -173,22 +172,6 @@ def test_write_profile_json_skips_unprofiled_trace(
     trace.end_run()
     assert write_profile_json(path) is None
     assert not (tmp_path / "t.profile.json").exists()
-
-
-def test_write_run_profile_lands_in_store_profiles_dir(
-    tmp_path, clean_trace_state, monkeypatch
-):
-    monkeypatch.setenv(trace.PROFILE_ENV, "1")
-    trace._refresh_gate()
-    path = tmp_path / "t.jsonl"
-    trace.start_run("runprof", path=path)
-    with profiled_span("graph.stage", stage="s"):
-        pass
-    # The runner parses the flushed shared file mid-run.
-    out = write_run_profile(tmp_path / "store", path)
-    trace.end_run()
-    assert out == tmp_path / "store" / "_profiles" / "t.json"
-    assert "s" in json.loads(out.read_text())["stages"]
 
 
 @stage_fn(version=1)
