@@ -58,14 +58,13 @@ def deviation_analysis(
     seed: int = 0,
     max_samples: int | None = 3000,
     estimator_factory=default_deviation_estimator,
-    workers: int | None = None,
 ) -> DeviationAnalysis:
     """Run the §IV-B pipeline on one dataset.
 
     Returns per-counter relevance scores plus the CV prediction MAPE on
-    reconstructed step times (paper target: < 5%).  ``workers`` fans the
-    RFE CV folds out over :mod:`repro.parallel` (bit-identical results
-    for any count).
+    reconstructed step times (paper target: < 5%).  The RFE CV folds fan
+    out over :mod:`repro.parallel` (``REPRO_WORKERS``; bit-identical
+    results for any count).
     """
     if len(ds) < n_splits:
         raise ValueError(
@@ -82,6 +81,5 @@ def deviation_analysis(
             seed=seed,
             mape_offset=offsets,
             max_samples=max_samples,
-            workers=workers,
         )
     return DeviationAnalysis(key=ds.key, relevance=relevance)

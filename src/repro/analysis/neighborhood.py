@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.campaign.datasets import Campaign, RunDataset
 from repro.ml.mi import columnwise_mi
-from repro.parallel import parallel_map
 
 
 @dataclass
@@ -95,7 +94,7 @@ def analyze_neighborhood(ds: RunDataset, tau: float = 1.0) -> NeighborhoodAnalys
 
 
 def dataset_top_users(ds: RunDataset, top_k: int, tau: float) -> list[str]:
-    """One dataset's high-MI user list (top-level: pool/stage task)."""
+    """One dataset's high-MI user list (top-level: a stage body calls it)."""
     if len(ds) < 3:
         return []
     return analyze_neighborhood(ds, tau=tau).top_users(top_k)
@@ -122,7 +121,6 @@ def correlated_users_table(
     top_k: int = 9,
     min_lists: int = 2,
     tau: float = 1.0,
-    workers: int | None = None,
 ) -> dict[str, list[str]]:
     """The paper's Table III: per dataset, high-MI users appearing in more
     than one dataset's list.
@@ -138,16 +136,13 @@ def correlated_users_table(
         (the paper's lists have 3–9 entries).
     min_lists:
         Keep users appearing in at least this many datasets' lists.
-    workers:
-        Datasets are independent tasks fanned out over
-        :mod:`repro.parallel`; results come back in key order, so the
-        table is identical for any worker count.
     """
     if dataset_keys is None:
         dataset_keys = [k for k in campaign.keys() if "-long" not in k]
-    tasks = [(campaign[key], top_k, tau) for key in dataset_keys]
-    lists = parallel_map(dataset_top_users, tasks, workers=workers)
-    per_dataset: dict[str, list[str]] = dict(zip(dataset_keys, lists))
+    per_dataset = {
+        key: dataset_top_users(campaign[key], top_k, tau)
+        for key in dataset_keys
+    }
     return merge_user_lists(per_dataset, min_lists=min_lists)
 
 

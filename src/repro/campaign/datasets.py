@@ -89,12 +89,7 @@ def _atomic_write_text(path: Path, text: str) -> None:
     tmp.write_text(text)
     os.replace(tmp, path)
 
-from repro.network.counters import (
-    APP_COUNTERS,
-    IO_COUNTERS,
-    PLACEMENT_FEATURES,
-    SYS_COUNTERS,
-)
+from repro.network.counters import IO_COUNTERS, SYS_COUNTERS
 
 #: Campaign epoch: the first date on Fig. 1's time axis.
 EPOCH = _dt.datetime(2018, 11, 29)
@@ -203,18 +198,6 @@ class RunDataset:
     @property
     def start_times(self) -> np.ndarray:
         return np.array([r.start_time for r in self.runs])
-
-    def feature_names(
-        self, placement: bool = False, io: bool = False, sys: bool = False
-    ) -> list[str]:
-        names = list(APP_COUNTERS)
-        if placement:
-            names += PLACEMENT_FEATURES
-        if io:
-            names += IO_COUNTERS
-        if sys:
-            names += SYS_COUNTERS
-        return names
 
     def features(
         self, placement: bool = False, io: bool = False, sys: bool = False

@@ -6,13 +6,11 @@ additive background-traffic accumulators — and a large embarrassingly
 parallel part: routing geometry construction and the per-step solves of
 every probe run.  This module supplies the parallel side:
 
-* a :class:`CampaignPool` wrapping ``concurrent.futures
-  .ProcessPoolExecutor`` (or running everything in-process for
-  ``workers == 1`` — the *same* code path, so serial and parallel output
-  are bit-identical by construction);
-* per-worker environment construction (topology, engine, LDMS sampler,
-  user population) via the pool initializer, so tasks ship only slim
-  specs and **never pickle the runner**;
+* the solving environment (:class:`WorkerEnv`: topology, engine, LDMS
+  sampler, user population), which the runner builds once and installs
+  in-process for a serial run, and each pool worker builds through the
+  :func:`_init_worker` initializer, so tasks ship only slim specs and
+  **never pickle the runner**;
 * chunked task functions for the two parallel parts of the sweep:
 
   1. job contributions, loaded in batched lookahead as the sweep reaches
@@ -27,7 +25,9 @@ Determinism: every random draw a worker makes flows through
 :func:`repro.config.rng_for` with per-``(job, step)`` stream labels, and
 each run's steps are solved in step order inside one task.  Worker count,
 chunking, and completion order therefore cannot perturb any stream, and
-``workers=N`` output is bit-identical to ``workers=1`` output.
+an N-worker campaign is bit-identical to a serial one.  The runner
+submits the task functions to a :class:`repro.parallel.WorkerPool`, whose
+one-worker mode runs them in-process.
 """
 
 from __future__ import annotations
@@ -43,24 +43,19 @@ from repro.network.counters import synthesize_router_counters_block
 from repro.network.ldms import LDMSSampler
 from repro.obs import span
 from repro.obs.profile import profiled_span
-from repro.parallel import WorkerPool, WorkerPoolError, chunked
+from repro.parallel import WorkerPoolError
 from repro.system.users import UserPopulation
 from repro.telemetry.ariesncl import AriesNCL
 from repro.telemetry.mpip import profile_run
 from repro.topology.base import Topology
 from repro.topology.registry import build_topology
 
-__all__ = [
-    "CampaignPool",
-    "CampaignWorkerError",
-    "WorkerEnv",
-    "chunked",  # re-exported from repro.parallel (the generalized layer)
-]
+__all__ = ["CampaignWorkerError", "WorkerEnv"]
 
 #: Routing-geometry contexts a worker keeps between loading a probe's
 #: contribution and solving its run (LRU; rebuilt on miss).  Every probe
 #: has its own placement, so each context is built for one run and
-#: popped by that run's solve.  In-process (``workers == 1``) that
+#: popped by that run's solve.  In-process (one worker) that
 #: leaves only the started-but-unsolved probes plus the loader's
 #: lookahead resident, well under the cap; the cap bounds pool workers,
 #: where one worker can build a context that another one solves (cache
@@ -153,32 +148,21 @@ class RunResult:
 
 
 class WorkerEnv:
-    """Per-process solving state, built once per worker (or borrowed from
-    the parent runner in the in-process ``workers=1`` mode)."""
+    """Per-process solving state: built once by the runner (the serial
+    mode's environment) and once per pool worker."""
 
-    def __init__(
-        self,
-        config,
-        topology: Topology | None = None,
-        engine: CongestionEngine | None = None,
-        sampler: LDMSSampler | None = None,
-        population: UserPopulation | None = None,
-    ) -> None:
+    def __init__(self, config) -> None:
         from repro.campaign.runner import BackgroundTrafficModel
 
         self.config = config
         self.seed = config.seed
-        # Rebuild the campaign's (topology, routing) cell through the
+        # Build the campaign's (topology, routing) cell through the
         # registry so subprocess workers solve the same network as the
         # parent runner.
-        self.topology = topology or build_topology(config.topology, config.preset)
-        self.engine = engine or CongestionEngine(
-            self.topology, policy=config.routing
-        )
-        self.sampler = sampler or LDMSSampler(self.topology)
-        self.population = population or UserPopulation.cori_like(
-            node_scale=config.node_scale
-        )
+        self.topology = build_topology(config.topology, config.preset)
+        self.engine = CongestionEngine(self.topology, policy=config.routing)
+        self.sampler = LDMSSampler(self.topology)
+        self.population = UserPopulation.cori_like(node_scale=config.node_scale)
         self.bg_model = BackgroundTrafficModel(
             self.topology,
             self.engine,
@@ -479,61 +463,3 @@ def _solve_one_run(
         ldms=ldms_t,
         routine_times=prof.routine_times,
     )
-
-
-# --------------------------------------------------------------------------- #
-# The pool.
-# --------------------------------------------------------------------------- #
-
-
-class CampaignPool:
-    """Executes campaign tasks on ``workers`` processes.
-
-    A thin campaign-specific veneer over :class:`repro.parallel
-    .WorkerPool`: it owns the worker-environment initializer and the
-    typed ``submit_*`` surface; pool mechanics (span re-rooting, ordered
-    futures, worker-death translation) live in the generic layer.
-
-    ``workers == 1`` runs every task in-process through the *same* task
-    functions (no executor), which is both the fast path for small
-    campaigns and the reference the determinism test compares against.
-    """
-
-    def __init__(self, config, workers: int, env: WorkerEnv | None = None):
-        self._pool = WorkerPool(
-            max(1, int(workers)),
-            initializer=_init_worker,
-            initargs=(config,),
-            error=CampaignWorkerError,
-            name="campaign",
-        )
-        self.workers = self._pool.workers
-        self.parallel = self._pool.parallel
-        if not self.parallel:
-            _set_local_env(env or WorkerEnv(config))
-
-    # -- submission ----------------------------------------------------- #
-
-    def submit_probe_contributions(self, specs: list[ProbeSpec]):
-        return self._pool.submit(_task_probe_contributions, specs)
-
-    def submit_bg_contributions(self, specs: list[BgJobSpec]):
-        return self._pool.submit(_task_bg_contributions, specs)
-
-    def submit_solve(self, tasks: list[RunTask], windows: dict):
-        return self._pool.submit(_task_solve_runs, tasks, windows)
-
-    def result(self, future):
-        """Unwrap a future, translating worker death into a clean error."""
-        return self._pool.result(future)
-
-    # -- lifecycle ------------------------------------------------------ #
-
-    def shutdown(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "CampaignPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()

@@ -22,8 +22,8 @@ Performance design (the campaign solves ~40k network states):
   synthesized only on the routers the datasets read;
 * everything *outside* the chronological sweep — per-job traffic routing
   and every probe run's step solves — fans out over a process pool (see
-  :mod:`repro.campaign.parallel`); ``CampaignConfig.workers`` /
-  ``REPRO_WORKERS`` picks the worker count, and any count produces
+  :mod:`repro.campaign.parallel`); ``REPRO_WORKERS`` (which a CLI's
+  ``--workers`` sets) picks the worker count, and any count produces
   bit-identical datasets.
 """
 
@@ -38,19 +38,14 @@ import numpy as np
 
 from repro.apps.base import Application, StepModel
 from repro.apps.registry import DATASET_KEYS, get_application
+from repro.campaign import parallel as par
 from repro.campaign.datasets import (
     CACHE_FORMAT_VERSION,
     Campaign,
     RunDataset,
     RunRecord,
 )
-from repro.config import (
-    DEFAULT_SEED,
-    ScalePreset,
-    get_preset,
-    resolve_workers,
-    rng_for,
-)
+from repro.config import DEFAULT_SEED, ScalePreset, get_preset, rng_for
 from repro.network.engine import (
     BaseLoad,
     CongestionEngine,
@@ -58,7 +53,6 @@ from repro.network.engine import (
 )
 from repro.obs import METRICS, annotate, event, get_logger
 from repro.obs.profile import profiled_span
-from repro.network.ldms import LDMSSampler
 from repro.network.traffic import (
     FlowSet,
     allreduce_flows,
@@ -66,6 +60,7 @@ from repro.network.traffic import (
     router_alltoall_flows,
     uniform_random_flows,
 )
+from repro.parallel import WorkerPool, chunked
 from repro.system.jobs import JobRecord, JobRequest
 from repro.system.scheduler import Scheduler
 from repro.system.users import UserPopulation
@@ -75,7 +70,6 @@ from repro.topology.base import Topology
 from repro.topology.placement import job_routers
 from repro.topology.registry import (
     DEFAULT_CELL,
-    build_topology,
     canonical_routing,
     canonical_topology,
 )
@@ -155,12 +149,6 @@ class CampaignConfig:
     long_runs: tuple[tuple[str, int], ...] = (("MILC-128", 620),)
     #: Cache generated datasets on disk.
     use_cache: bool = True
-    #: Worker processes for the parallel generation phases.  ``None``
-    #: defers to the ``REPRO_WORKERS`` environment variable (default 1,
-    #: i.e. in-process); ``0`` means "all cores".  Any value yields
-    #: bit-identical datasets, so this knob is *not* part of the
-    #: fingerprint.
-    workers: int | None = None
     #: The campaign's network cell on the (topology, routing) axis; names
     #: resolve through :mod:`repro.topology.registry` (aliases accepted).
     topology: str = DEFAULT_CELL[0]
@@ -861,10 +849,13 @@ class CampaignRunner:
 
     def __init__(self, config: CampaignConfig) -> None:
         self.config = config
-        self.topology = build_topology(config.topology, config.preset)
-        self.engine = CongestionEngine(self.topology, policy=config.routing)
-        self.sampler = LDMSSampler(self.topology)
-        self.population = UserPopulation.cori_like(node_scale=config.node_scale)
+        # The one solving environment of this process: a serial run
+        # installs it for the task functions; pool workers build their
+        # own from the config.
+        self.env = par.WorkerEnv(config)
+        self.topology = self.env.topology
+        self.engine = self.env.engine
+        self.population = self.env.population
 
     # ------------------------------------------------------------------ #
 
@@ -944,12 +935,9 @@ class CampaignRunner:
         cfg = self.config
         topo = self.topology
         horizon = cfg.days * DAY
-        workers = resolve_workers(cfg.workers)
-
-        from repro.campaign import parallel as par
 
         # 1. Jobs: background + probes, scheduled together.
-        with profiled_span("campaign.schedule", days=cfg.days, workers=workers):
+        with profiled_span("campaign.schedule", days=cfg.days):
             bg_gen = BackgroundWorkloadGenerator.for_target_utilisation(
                 self.population,
                 rng_for("bg-workload", seed=cfg.seed),
@@ -994,14 +982,14 @@ class CampaignRunner:
 
         # 3. Fan contributions and solves out over the worker pool; the
         #    chronological sweep stays in this process.
-        env = par.WorkerEnv(
-            cfg,
-            topology=topo,
-            engine=self.engine,
-            sampler=self.sampler,
-            population=self.population,
-        )
-        with par.CampaignPool(cfg, workers, env=env) as pool:
+        with WorkerPool(
+            initializer=par._init_worker,
+            initargs=(cfg,),
+            error=par.CampaignWorkerError,
+            name="campaign",
+        ) as pool:
+            if not pool.parallel:
+                par._set_local_env(self.env)
             results = self._solve_probes(
                 pool,
                 result.jobs,
@@ -1089,8 +1077,6 @@ class CampaignRunner:
         """
         from collections import deque
 
-        from repro.campaign import parallel as par
-
         cfg = self.config
         workers = pool.workers
         n_probes = len(probes)
@@ -1131,12 +1117,12 @@ class CampaignRunner:
                 if j.job_id not in probe_plan
             ]
             probe_futs = [
-                pool.submit_probe_contributions(chunk)
-                for chunk in par.chunked(probe_specs, workers)
+                pool.submit(par._task_probe_contributions, chunk)
+                for chunk in chunked(probe_specs, workers)
             ]
             bg_futs = [
-                pool.submit_bg_contributions(chunk)
-                for chunk in par.chunked(bg_specs, workers)
+                pool.submit(par._task_bg_contributions, chunk)
+                for chunk in chunked(bg_specs, workers)
             ]
             for f in probe_futs:
                 for job_id, comm in pool.result(f):
@@ -1229,7 +1215,7 @@ class CampaignRunner:
             payload = {
                 w: window_store[w] for pi in ready for w in run_windows[pi]
             }
-            inflight.append(pool.submit_solve(tasks, payload))
+            inflight.append(pool.submit(par._task_solve_runs, tasks, payload))
             for pi in ready:
                 for w in run_windows[pi]:
                     wref[w] -= 1

@@ -25,8 +25,8 @@ Identity model::
                         = sha256 over the ordered window fps (else)
 
 One shard fingerprint names the shard in the stage graph
-(``Stage.shard``) and in the stream manifest persisted under
-``<cache>/streams/<stream fp>.json``.
+(``Stage.shard``) and in the stream manifest the streamed campaign
+carries in memory (``campaign.stream``).
 
 The combined per-key dataset concatenates the shard runs (start times
 offset by the window origin, run indices renumbered) and carries the
@@ -41,21 +41,16 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from repro.campaign.datasets import (
-    Campaign,
-    RunDataset,
-    _atomic_write_text,
-)
+from repro.campaign.datasets import Campaign, RunDataset
 from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.obs import annotate, get_logger, span
 from repro.system.workload import DAY
 
 _LOG = get_logger("campaign.stream")
 
-#: Stream manifest schema version (independent of the campaign cache
-#: format: a manifest is derived bookkeeping, never a source of truth).
+#: Stream identity schema version (independent of the campaign cache
+#: format), folded into every multi-window stream fingerprint.
 STREAM_FORMAT_VERSION = 1
 
 
@@ -158,49 +153,6 @@ class StreamManifest:
     def window_fingerprints(self) -> list[str]:
         return [w["campaign"] for w in self.windows]
 
-    # ---- persistence (derived bookkeeping under the hardened cache) ---- #
-
-    @staticmethod
-    def path(fingerprint: str) -> Path:
-        return Campaign.cache_dir() / "streams" / f"{fingerprint}.json"
-
-    def save(self) -> Path:
-        path = self.path(self.fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(
-            path,
-            json.dumps(
-                {
-                    "format": STREAM_FORMAT_VERSION,
-                    "stream": self.fingerprint,
-                    "base": self.base,
-                    "window_days": self.window_days,
-                    "windows": self.windows,
-                },
-                sort_keys=True,
-            ),
-        )
-        return path
-
-    @classmethod
-    def load(cls, fingerprint: str) -> "StreamManifest | None":
-        path = cls.path(fingerprint)
-        if not path.exists():
-            return None
-        try:
-            meta = json.loads(path.read_text())
-            if meta.get("format") != STREAM_FORMAT_VERSION:
-                return None
-            return cls(
-                fingerprint=meta["stream"],
-                base=meta["base"],
-                window_days=meta["window_days"],
-                windows=meta["windows"],
-            )
-        except Exception:
-            # Derived bookkeeping: a torn manifest is rebuilt, not fatal.
-            return None
-
 
 def shard_view(ds: RunDataset, window: int) -> RunDataset:
     """The per-window shard of a (possibly streamed) dataset.
@@ -255,8 +207,7 @@ def run_stream(config: StreamConfig, progress: bool = False) -> Campaign:
     so appending window ``N`` to a previously-materialised stream costs
     one window's generation plus cache loads.  The combined campaign's
     datasets are stamped with the stream fingerprint and carry their
-    shard views; the stream manifest is persisted and attached as
-    ``campaign.stream``.
+    shard views; the stream manifest is attached as ``campaign.stream``.
     """
     window_cfgs = [config.window_config(w) for w in range(config.windows)]
     window_fps = [cfg.fingerprint() for cfg in window_cfgs]
@@ -337,7 +288,6 @@ def run_stream(config: StreamConfig, progress: bool = False) -> Campaign:
             for w, c in enumerate(campaigns)
         ],
     )
-    manifest.save()
     camp.stream = manifest
     return camp
 

@@ -188,29 +188,27 @@ def rng_for(*stream: object, seed: int = DEFAULT_SEED) -> np.random.Generator:
 _label_hash_cache: dict[str, int] = {}
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Resolve the campaign worker-process count.
+def resolve_workers() -> int:
+    """The worker-process count for every fan-out point: ``REPRO_WORKERS``.
 
-    Precedence: the ``REPRO_WORKERS`` environment variable (so a CI job or
-    benchmark invocation can override any config without code changes;
-    a CLI's ``--workers N`` sets it, see :func:`apply_workers_flag`),
-    then ``requested`` (the ``CampaignConfig.workers`` field), then 1
-    (in-process serial execution).  A value ``<= 0`` means "all cores".
+    This is the one reader of the count, and the environment variable is
+    its one surface: a CLI's ``--workers N`` writes it (see
+    :func:`apply_workers_flag`).  Unset or empty means 1 (in-process
+    serial execution); a value ``<= 0`` means "all cores".
 
     The worker count never changes generated data — parallel output is
     bit-identical to serial output — so it is deliberately *not* part of
     any cache fingerprint.
     """
     env = os.environ.get("REPRO_WORKERS", "").strip()
-    if env:
-        try:
-            requested = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_WORKERS must be an integer, got {env!r}"
-            ) from None
-    if requested is None:
+    if not env:
         return 1
+    try:
+        requested = int(env)
+    except ValueError:
+        raise ValueError(
+            f"REPRO_WORKERS must be an integer, got {env!r}"
+        ) from None
     if requested <= 0:
         return os.cpu_count() or 1
     return requested

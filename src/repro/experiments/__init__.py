@@ -134,7 +134,7 @@ def build_experiment(g, ctx, exp_id: str) -> str:
     return builder(g, ctx, exp_id=canonical_exp_id(exp_id), **kwargs)
 
 
-def _make_runner(ids, ctx, workers, force):
+def _make_runner(ids, ctx, force):
     from repro.graph import Graph, GraphRunner
 
     g = Graph()
@@ -144,7 +144,6 @@ def _make_runner(ids, ctx, workers, force):
         store=ctx.store,
         campaign_fingerprint=ctx.campaign_fingerprint,
         campaign=ctx.campaign,
-        workers=workers,
         force=force,
         # Stage names are cell-agnostic; the runner stamps the cell onto
         # spans, counters, and the graph.plan event so profiles and
@@ -167,7 +166,6 @@ def run_experiments(
     ids,
     campaign=None,
     fast: bool = False,
-    workers: int | None = None,
     force: bool = False,
 ) -> dict[str, ExperimentResult]:
     """Run several experiments over shared stage graphs.
@@ -195,7 +193,7 @@ def run_experiments(
             f"experiment.{cell_ids[0]}" if len(cell_ids) == 1 else "experiments.run"
         )
         with span(span_name, fast=ctx.fast):
-            runner, targets = _make_runner(cell_ids, ctx, workers, force)
+            runner, targets = _make_runner(cell_ids, ctx, force)
             values = runner.run(list(targets.values()))
         results.update(
             {exp_id: values[name] for exp_id, name in targets.items()}
@@ -207,12 +205,11 @@ def run_experiment(
     exp_id: str,
     campaign=None,
     fast: bool = False,
-    workers: int | None = None,
     force: bool = False,
 ) -> ExperimentResult:
     """Run one experiment by id (``base`` or ``base:arg``)."""
     return run_experiments(
-        [exp_id], campaign=campaign, fast=fast, workers=workers, force=force
+        [exp_id], campaign=campaign, fast=fast, force=force
     )[exp_id]
 
 
@@ -234,7 +231,7 @@ def explain_experiments(
     parts: list[str] = []
     for cell, cell_ids in _group_by_cell(list(ids)):
         ctx = ExperimentContext(campaign=campaign, fast=fast, cell=cell)
-        runner, _ = _make_runner(cell_ids, ctx, None, force)
+        runner, _ = _make_runner(cell_ids, ctx, force)
         plan = render_plan(runner.plan())
         if cell is not None:
             plan = f"cell {cell[0]}/{cell[1]}\n{plan}"

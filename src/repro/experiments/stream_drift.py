@@ -17,9 +17,8 @@ Stage addressing is the whole point:
   that is what window ``N``'s fresh evaluation finds already stored when
   window ``N + 1`` arrives;
 * the ``sd-drift`` / ``sd-render`` reduces are pure functions of their
-  inputs, and the ``sd-manifest`` root is stream-keyed bookkeeping —
-  the only stages an append legitimately re-runs besides the fresh
-  window's own cone.  :func:`incremental_violations` checks exactly
+  inputs — the only stages an append legitimately re-runs besides the
+  fresh window's own cone.  :func:`incremental_violations` checks exactly
   that contract against a resolved plan (the CI ``stream-append`` job
   and ``--check-incremental`` both call it).
 """
@@ -43,22 +42,6 @@ def drift_params(fast: bool) -> dict:
 # --------------------------------------------------------------------------- #
 # Stage bodies (top-level: pool workers resolve them by import path).
 # --------------------------------------------------------------------------- #
-
-
-@stage_fn(version=1)
-def stream_shard_manifest(ctx):
-    """Stream-keyed root: the shard map, persisted as an artifact.
-
-    Re-keyed by every append (the stream fingerprint changes), which is
-    correct — it *describes* the stream — and cheap: the manifest is
-    bookkeeping the campaign already computed.
-    """
-    man = ctx.camp.stream
-    return {
-        "stream": man.fingerprint,
-        "window_days": man.window_days,
-        "windows": man.windows,
-    }
 
 
 @stage_fn(version=1)
@@ -178,9 +161,6 @@ def build_stream_drift(
     m, k, tier = p["m"], p["k"], p["tier"]
     seeds, model = p["seeds"], p["model"]
     windows = len(man.windows)
-    manifest = g.add(
-        "sd-manifest", stream_shard_manifest, campaign=True, local=True
-    )
     report_inputs = []
     for key in keys:
         for w in range(windows):
@@ -228,14 +208,11 @@ def build_stream_drift(
                 ),
             )
         )
-    # The manifest is an input of the render so it sits in the executed
-    # cone (and is therefore stored): `plan()` covers every stage, and a
-    # dangling manifest would re-plan as a perpetual miss on warm replays.
     return g.add(
         "sd-render",
         stream_drift_render,
         params={"keys": keys, "windows": windows},
-        inputs=report_inputs + [("manifest", manifest)],
+        inputs=report_inputs,
         kind="render",
         local=True,
     )
@@ -245,7 +222,6 @@ def _make_runner(
     campaign,
     keys: "list[str] | None",
     fast: bool,
-    workers: int | None,
     force: bool,
 ) -> tuple[GraphRunner, list[str]]:
     from repro.experiments.context import ExperimentContext
@@ -265,7 +241,6 @@ def _make_runner(
         store=ctx.store,
         campaign_fingerprint=ctx.campaign_fingerprint,
         campaign=lambda: campaign,
-        workers=workers,
         force=force,
     )
     return runner, targets
@@ -275,12 +250,11 @@ def stream_drift(
     campaign,
     keys: "list[str] | None" = None,
     fast: bool = False,
-    workers: int | None = None,
     force: bool = False,
 ) -> ExperimentResult:
     """Run the drift experiment over a streamed campaign."""
     ensure_run()
-    runner, targets = _make_runner(campaign, keys, fast, workers, force)
+    runner, targets = _make_runner(campaign, keys, fast, force)
     with span("experiment.stream-drift", windows=len(campaign.stream.windows)):
         return runner.run(targets)[targets[0]]
 
@@ -292,7 +266,7 @@ def plan_stream_drift(
     force: bool = False,
 ) -> list[StagePlan]:
     """Resolve the drift DAG read-only (``--explain`` / append checks)."""
-    runner, _ = _make_runner(campaign, keys, fast, None, force)
+    runner, _ = _make_runner(campaign, keys, fast, force)
     return runner.plan()
 
 
@@ -310,8 +284,7 @@ def incremental_violations(
 
     After appending one window to a previously-materialised stream, the
     only legitimate cold work is (a) stages scoped entirely to the fresh
-    window's shards, (b) campaign-bound bookkeeping (the stream-keyed
-    manifest roots), and (c) pure reduces over stage inputs.  Anything
+    window's shards and (b) pure reduces over stage inputs.  Anything
     else — a stale-shard recompute, or a dataset-bound stage with no
     shard address at all — is a full-dataset recompute the streaming
     refactor exists to prevent.
@@ -332,5 +305,5 @@ def incremental_violations(
             bad.append(
                 f"full-dataset recompute: {st.name} (dataset {st.dataset})"
             )
-        # campaign-bound manifests and pure reduces are legitimate.
+        # pure reduces are legitimate.
     return bad

@@ -1,11 +1,9 @@
 """Feature-view specifications: which columns a model sees, in one object.
 
 The paper's §V-C ablation works over four feature *tiers* (job-local
-AriesNCL counters, + placement, + io, + sys).  Before this module, each
-tier was a dict of ``RunDataset.features()`` kwargs expanded at every
-call site, with ``feature_names()`` expanded separately — two code paths
-that could silently drift.  A :class:`FeatureSpec` owns both the matrix
-construction and the column names, so they are guaranteed consistent.
+AriesNCL counters, + placement, + io, + sys).  A :class:`FeatureSpec`
+owns both the matrix construction and the column names — the one
+definition of tier column order — so they are guaranteed consistent.
 """
 
 from __future__ import annotations
@@ -93,10 +91,6 @@ class FeatureSpec:
         if self.source == "ldms":
             return ds.ldms
         return ds.features(placement=self.placement, io=self.io, sys=self.sys)
-
-    def kwargs(self) -> dict[str, bool]:
-        """The legacy ``RunDataset.features()`` keyword expansion."""
-        return {"placement": self.placement, "io": self.io, "sys": self.sys}
 
 
 #: The §V-C ablation tiers (name -> spec).  The single definition the

@@ -120,8 +120,6 @@ class GraphRunner:
         :class:`~repro.campaign.datasets.Campaign`.  Called lazily, only
         when an *executing* stage is campaign- or dataset-bound — a
         fully warm run never touches it.
-    workers:
-        Worker-count request forwarded to :func:`repro.parallel.get_pool`.
     force:
         Bypass stored artifacts (results are still re-saved).
     cell:
@@ -141,13 +139,11 @@ class GraphRunner:
         store: ArtifactStore,
         campaign_fingerprint: str | None,
         campaign: Callable | None = None,
-        workers: int | None = None,
         force: bool = False,
         cell: str | None = None,
     ) -> None:
         self.graph = graph
         self.store = store
-        self.workers = workers
         self.force = force
         self.cell = cell
         self.fingerprints = graph.fingerprints(campaign_fingerprint)
@@ -188,7 +184,7 @@ class GraphRunner:
         for name, st in self.graph.stages.items():
             if self.force:
                 status = "force"
-            elif not (st.store and self.store.enabled):
+            elif not self.store.enabled:
                 status = "run"
             elif self.store.has(st.group(), self.fingerprints[name]):
                 status = "hit"
@@ -232,7 +228,7 @@ class GraphRunner:
                 continue
             seen.add(name)
             st = graph.stages[name]
-            if not self.force and st.store and store.enabled:
+            if not self.force and store.enabled:
                 t0 = time.perf_counter() if prof_on else 0.0
                 value = store.load(st.group(), fps[name])
                 if value is not MISS:
@@ -278,7 +274,7 @@ class GraphRunner:
                 status = "hit"
             elif name in exec_set:
                 status = "force" if self.force else (
-                    "miss" if st.store and self.store.enabled else "run"
+                    "miss" if self.store.enabled else "run"
                 )
             elif name not in seen:
                 continue  # outside the needed cone of this run
@@ -307,14 +303,12 @@ class GraphRunner:
                 downstream[up].append(name)
         ready = deque(n for n in order if deps_left[n] == 0)
 
-        pool = get_pool(self.workers)
+        pool = get_pool()
         pending: list[tuple[str, object]] = []
 
         def finish(name: str, value: object) -> None:
-            st = graph.stages[name]
             values[name] = value
-            if st.store:
-                store.save(st.group(), fps[name], value)
+            store.save(graph.stages[name].group(), fps[name], value)
             for down in downstream[name]:
                 deps_left[down] -= 1
                 if deps_left[down] == 0:

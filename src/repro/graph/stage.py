@@ -100,8 +100,6 @@ class Stage:
     #: Run in the parent process even when a worker pool is available
     #: (renders and campaign-bound stages; cheap or unpicklable work).
     local: bool = False
-    #: Persist the result in the artifact store.
-    store: bool = True
     #: Shard addresses (content fingerprints of the time-window shards
     #: this stage consumes, see :mod:`repro.campaign.streaming`).  A
     #: shard-scoped stage is fingerprinted by its shard addresses
@@ -139,7 +137,6 @@ class Graph:
         campaign: bool = False,
         kind: str = "compute",
         local: bool = False,
-        store: bool = True,
         shard: "str | tuple[str, ...] | None" = None,
     ) -> str:
         stage = Stage(
@@ -151,7 +148,6 @@ class Graph:
             campaign=campaign,
             kind=kind,
             local=local or campaign,
-            store=store,
             shard=(shard,) if isinstance(shard, str) else tuple(shard or ()),
         )
         existing = self.stages.get(name)

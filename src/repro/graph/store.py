@@ -9,14 +9,14 @@ is the stage's input-addressed identity (:mod:`repro.graph.stage`).  The
 entry format is a one-line header carrying the sha256 digest of the
 pickled payload, then the payload itself — a truncated or bit-flipped
 entry fails digest verification and is treated as a warned miss that
-regenerates, exactly like the campaign and feature caches (PR 1's
+regenerates, exactly like the campaign cache (PR 1's
 discipline: atomic write-then-rename, an advisory ``flock`` per group,
 corruption never propagates).
 
-The low-level helpers :func:`guarded_load` and :func:`atomic_write` are
-shared with :class:`repro.features.FeatureStore`, so every persistent
-cache in the stack degrades the same way: corrupt entries are discarded
-with a warning, unwritable directories demote the cache to memory-only.
+The low-level helpers :func:`guarded_load` and :func:`atomic_write`
+carry that discipline: corrupt entries are discarded with a warning,
+and an unwritable directory degrades a write to a warning (the run
+keeps its in-memory result).
 
 ``REPRO_ARTIFACT_CACHE=0`` disables the store (every stage recomputes).
 """
@@ -49,7 +49,7 @@ def artifact_cache_enabled() -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Shared hardened-entry helpers (also used by the feature store).
+# Hardened-entry helpers.
 # --------------------------------------------------------------------------- #
 
 

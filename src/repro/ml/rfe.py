@@ -16,7 +16,7 @@ elimination path fits subsets H..2, and the nested-subset scoring reuses
 those models and fits only k=1 — so the sweep fits H · n_splits
 ensembles in all.  The folds are embarrassingly parallel —
 :func:`relevance_scores` fans them out over :mod:`repro.parallel`
-(``workers=`` / ``REPRO_WORKERS``), with results reduced in fold order
+(``REPRO_WORKERS`` sets the count), with results reduced in fold order
 so any worker count yields bit-identical
 ``scores``/``mapes``/``chosen_subsets``.  Inside each fold, the quantile
 :class:`~repro.ml.tree.Binner` is fitted once on the train fold and
@@ -258,7 +258,6 @@ def relevance_scores(
     seed: int = 0,
     mape_offset: np.ndarray | None = None,
     max_samples: int | None = 4000,
-    workers: int | None = None,
 ) -> RelevanceResult:
     """Cross-validated RFE relevance scores (paper §IV-B / Fig. 9).
 
@@ -278,12 +277,12 @@ def relevance_scores(
         Random subsample cap on the (NT) rows — the RFE sweep fits
         H * n_splits boosted ensembles, and a few thousand samples
         already pin the relevance ordering.  ``None`` disables.
-    workers:
-        CV folds are independent tasks fanned out over
-        :mod:`repro.parallel` (``REPRO_WORKERS`` overrides; ``0`` = all
-        cores; default serial).  Results reduce in fold order, so every
-        worker count yields bit-identical output.  ``estimator_factory``
-        must be picklable (a module-level function) when ``workers > 1``.
+
+    CV folds are independent tasks fanned out over :mod:`repro.parallel`
+    (``REPRO_WORKERS`` workers; ``0`` = all cores; default serial).
+    Results reduce in fold order, so every worker count yields
+    bit-identical output.  ``estimator_factory`` must be picklable (a
+    module-level function) on more than one worker.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -310,9 +309,9 @@ def relevance_scores(
         features=h,
         n=len(x),
         splits=n_splits,
-        workers=effective_workers(workers),
+        workers=effective_workers(),
     ):
-        fold_results = parallel_map(_fold_relevance, tasks, workers=workers)
+        fold_results = parallel_map(_fold_relevance, tasks)
     counts = np.zeros(h)
     chosen_all: list[list[int]] = []
     mapes: list[float] = []

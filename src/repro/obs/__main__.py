@@ -7,7 +7,7 @@
     python -m repro.obs export [<trace.jsonl> | <dir>]
         [--format chrome-trace|speedscope] [--out FILE]
     python -m repro.obs diff <baseline> <current>
-        [--wall-ratio 1.25] [--cpu-ratio N] [--rss-ratio N]
+        [--wall-ratio 1.25] [--cpu-ratio N]
         [--min-wall 0.5] [--warn-only] [-v]
 """
 
@@ -97,7 +97,6 @@ def _cmd_diff(args) -> int:
         current,
         wall_ratio=args.wall_ratio,
         cpu_ratio=args.cpu_ratio,
-        rss_ratio=args.rss_ratio,
         min_wall=args.min_wall,
     )
     print(render_diff(lines, failures, verbose=args.verbose))
@@ -184,12 +183,6 @@ def main(argv: list[str] | None = None) -> int:
         type=float,
         default=0.0,
         help="also gate CPU time at this ratio (0 = informational)",
-    )
-    dif.add_argument(
-        "--rss-ratio",
-        type=float,
-        default=0.0,
-        help="also gate peak RSS at this ratio (0 = informational)",
     )
     dif.add_argument(
         "--min-wall",

@@ -1,8 +1,8 @@
 """The perf regression sentinel: compare run profiles per stage.
 
 ``python -m repro.obs diff <baseline> <current>`` compares per-stage
-wall (and optionally CPU / peak RSS) between two profiles and exits
-nonzero when any stage breaches its threshold — the gate the CI
+wall (and optionally CPU) between two profiles and exits nonzero when
+any stage breaches its threshold — the gate the CI
 ``profile`` job runs against the committed
 ``benchmarks/baselines/PROFILE_all_fast.json``.
 
@@ -24,6 +24,10 @@ calibration, not a change in the code.  Stages below the ``--min-wall``
 noise floor and stages present on only one side are reported but never
 fail the gate (the DAG legitimately changes shape when experiments are
 added).
+
+Peak RSS is not compared: a profile's ``maxrss_kb`` is the process's
+``ru_maxrss`` high-water at span exit, so its ratio between two runs
+moves with whatever ran earlier in the process, not with the stage.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ def load_profile_stages(
     """Normalise any accepted profile input to ``{stage: record}``.
 
     Records carry ``wall`` (preferring ``normalized_wall`` when the
-    source has one, flagged by ``normalized``), plus ``cpu`` and
-    ``maxrss_kb`` when available.
+    source has one, flagged by ``normalized``), plus ``cpu`` and the
+    process RSS high-water ``maxrss_kb`` when available.
     ``section="spans"`` selects the per-span-name records instead of
     the graph stages — that is how ``diff --spans`` compares campaign
     internals (``campaign.task.solve``, worker batches, ...) between
@@ -132,14 +136,12 @@ def compare_profiles(
     *,
     wall_ratio: float = DEFAULT_WALL_RATIO,
     cpu_ratio: float = 0.0,
-    rss_ratio: float = 0.0,
     min_wall: float = DEFAULT_MIN_WALL,
 ) -> tuple[list[DiffLine], list[str]]:
     """Per-stage comparison; returns (report lines, failed stages).
 
-    ``wall_ratio`` gates always; ``cpu_ratio`` / ``rss_ratio`` gate only
-    when > 0 (CPU and RSS vary with runner shape, so they default to
-    informational).
+    ``wall_ratio`` gates always; ``cpu_ratio`` gates only when > 0 (CPU
+    time varies with runner shape, so it defaults to informational).
     """
     lines: list[DiffLine] = []
     failures: list[str] = []
@@ -168,11 +170,6 @@ def compare_profiles(
             c_ratio = cur["cpu"] / base["cpu"]
             parts.append(f"cpu {c_ratio:.2f}x")
             if cpu_ratio > 0 and c_ratio > cpu_ratio:
-                breached = True
-        if base.get("maxrss_kb") and cur.get("maxrss_kb"):
-            r_ratio = cur["maxrss_kb"] / base["maxrss_kb"]
-            parts.append(f"rss {r_ratio:.2f}x")
-            if rss_ratio > 0 and r_ratio > rss_ratio:
                 breached = True
         if breached:
             failures.append(stage)

@@ -6,7 +6,8 @@ every ``graph.stage`` execution, every campaign-generation phase, every
 ``parallel_map`` worker batch — open their spans through
 :func:`profiled_span`, which samples wall/CPU/RSS/GC/cache state on
 entry and attaches the delta to the span's trace record as a ``prof``
-field:
+field (``maxrss_kb`` is no delta: it is the process's ``ru_maxrss``
+high-water at span exit):
 
 .. code-block:: json
 

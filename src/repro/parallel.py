@@ -2,11 +2,10 @@
 
 PR 1 parallelized campaign *generation*; this module generalizes that
 machinery so the rest of the program (the stage graph's stages, RFE
-folds, the per-dataset neighbourhood lists of Table III) fans out over
-the same kind of pool:
+folds) fans out over the same kind of pool:
 
 * :class:`WorkerPool` — a ``ProcessPoolExecutor`` wrapper whose
-  ``workers <= 1`` mode runs every task in-process through the *same*
+  one-worker mode runs every task in-process through the *same*
   code path, so serial and parallel output are bit-identical by
   construction;
 * :func:`get_pool` / :func:`parallel_map` — a shared, lazily created
@@ -25,11 +24,13 @@ the same kind of pool:
 Determinism contract (same as the campaign layer): tasks are pure
 functions of their arguments, results are gathered in submission order,
 and any randomness flows through per-task seeded streams — so the
-worker count can never perturb any result, and ``workers=N`` output is
-bit-identical to ``workers=1`` output.
+worker count can never perturb any result: an N-worker run is
+bit-identical to a serial one.
 
-Worker-count precedence everywhere: ``REPRO_WORKERS`` env var, then the
-``workers=`` argument, then 1 (serial).  ``0`` means "all cores".
+The worker count has one surface: the ``REPRO_WORKERS`` environment
+variable (a CLI's ``--workers N`` writes it), read by
+:func:`repro.config.resolve_workers`; unset means 1 (serial) and ``0``
+means "all cores".  Every pool here resolves it itself.
 """
 
 from __future__ import annotations
@@ -73,18 +74,18 @@ def in_worker() -> bool:
     return bool(os.environ.get(WORKER_ENV))
 
 
-def effective_workers(workers: int | None = None) -> int:
-    """Resolve a worker count, clamped to 1 inside a pool worker.
+def effective_workers() -> int:
+    """The worker count, clamped to 1 inside a pool worker.
 
     Outside workers this is :func:`repro.config.resolve_workers`
-    (``REPRO_WORKERS`` > ``workers`` argument > 1; ``<= 0`` = all
-    cores).  Inside a worker it is always 1, so nested fan-out points
-    (a per-dataset task that itself calls the per-fold API) degrade to
-    the serial code path instead of oversubscribing the machine.
+    (``REPRO_WORKERS``; unset = 1, ``<= 0`` = all cores).  Inside a
+    worker it is always 1, so nested fan-out points (a per-dataset task
+    that itself calls the per-fold API) degrade to the serial code path
+    instead of oversubscribing the machine.
     """
     if in_worker():
         return 1
-    return resolve_workers(workers)
+    return resolve_workers()
 
 
 # --------------------------------------------------------------------------- #
@@ -164,19 +165,16 @@ def wait_any(futures: list) -> list[int]:
 
 
 class WorkerPool:
-    """Executes task functions on ``workers`` processes.
+    """Executes task functions on :func:`effective_workers` processes.
 
-    ``workers <= 1`` (after :func:`effective_workers` resolution) runs
-    every task in-process through the *same* task functions — both the
-    fast path for small workloads and the reference the equivalence
-    tests compare against.  Serial mode never runs ``initializer``;
-    callers that need in-process state install it themselves (see
-    :class:`repro.campaign.parallel.CampaignPool`).
+    A count of 1 runs every task in-process through the *same* task
+    functions — both the fast path for small workloads and the reference
+    the equivalence tests compare against.  Serial mode never runs
+    ``initializer``; callers that need in-process state install it
+    themselves (see :class:`repro.campaign.runner.CampaignRunner`).
 
     Parameters
     ----------
-    workers:
-        Requested worker count (env/None/0 resolution applies).
     initializer, initargs:
         Per-worker setup run in each subprocess *after* the
         observability bootstrap.  Must be picklable (top-level).
@@ -189,14 +187,13 @@ class WorkerPool:
 
     def __init__(
         self,
-        workers: int | None = None,
         *,
         initializer=None,
         initargs: tuple = (),
         error: type = WorkerPoolError,
         name: str = "pool",
     ) -> None:
-        self.workers = effective_workers(workers)
+        self.workers = effective_workers()
         self.parallel = self.workers > 1
         self.error = error
         self.name = name
@@ -236,7 +233,7 @@ class WorkerPool:
             self.broken = True
             raise self.error(
                 f"a {self.name} worker process died; partial results discarded "
-                "(rerun with workers=1 to rule out resource exhaustion)"
+                "(rerun with REPRO_WORKERS=1 to rule out resource exhaustion)"
             ) from exc
 
     def map(self, fn, tasks) -> list:
@@ -272,7 +269,7 @@ class WorkerPool:
 _SHARED: WorkerPool | None = None
 
 
-def get_pool(workers: int | None = None) -> WorkerPool:
+def get_pool() -> WorkerPool:
     """The shared analysis pool for the resolved worker count.
 
     Serial resolution returns a throwaway in-process pool (no state to
@@ -282,14 +279,14 @@ def get_pool(workers: int | None = None) -> WorkerPool:
     next call starts clean.
     """
     global _SHARED
-    n = effective_workers(workers)
+    n = effective_workers()
     if n <= 1:
-        return WorkerPool(1, name="analysis")
+        return WorkerPool(name="analysis")
     if _SHARED is not None and _SHARED.workers == n and not _SHARED.broken:
         return _SHARED
     if _SHARED is not None:
         _SHARED.shutdown()
-    _SHARED = WorkerPool(n, name="analysis")
+    _SHARED = WorkerPool(name="analysis")
     return _SHARED
 
 
@@ -304,9 +301,9 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
-def parallel_map(fn, tasks, workers: int | None = None) -> list:
+def parallel_map(fn, tasks) -> list:
     """Ordered map over the shared pool: the one-call analysis fan-out."""
-    return get_pool(workers).map(fn, tasks)
+    return get_pool().map(fn, tasks)
 
 
 def chunked(items: list, n_chunks: int) -> list[list]:

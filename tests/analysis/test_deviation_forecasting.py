@@ -140,10 +140,13 @@ def test_forecast_mape_reasonable_on_learnable_data():
 
 def test_forecast_tier_feature_counts():
     ds = _synthetic_dataset(n=12, t=16)
+    widths = {
+        "app": 13, "app+placement": 15, "app+placement+io": 19,
+        "app+placement+io+sys": 23,
+    }
     for tier, spec in TIERS.items():
         feats = spec.matrix(ds)
-        assert feats.shape[2] == len(spec.feature_names())
-        assert feats.shape[2] == len(ds.feature_names(**spec.kwargs()))
+        assert feats.shape[2] == len(spec.feature_names()) == widths[tier]
 
 
 def test_forecast_unknown_tier():

@@ -6,7 +6,7 @@ per-step loop it replaced lives in :mod:`tests.campaign.legacy_solver`;
 these tests monkeypatch it in as the per-run solve function and enforce
 the contract the refactor was built on: both solvers produce
 *byte-identical* run arrays (``assert_array_equal``, not ``allclose``)
-for every cell, worker count, and block size — including a long
+for every cell, worker count (``REPRO_WORKERS``), and block size — including a long
 (620-step) run whose steps span many background windows, and the
 degenerate empty-flow placement.
 """
@@ -53,8 +53,10 @@ def _assert_identical(a, b) -> None:
 
 @pytest.fixture(scope="module")
 def batched_serial():
-    """The default (batched) solver at workers=1 on the default cell."""
-    return CampaignRunner(_cfg(workers=1)).run()
+    """The default (batched) solver on one worker on the default cell."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_WORKERS", "1")
+        return CampaignRunner(_cfg()).run()
 
 
 @pytest.fixture()
@@ -67,19 +69,26 @@ def reference_solver(monkeypatch):
     monkeypatch.setattr(par, "_solve_one_run", solve_one_run_reference)
 
 
-def test_reference_solver_bit_identical(batched_serial, reference_solver):
-    reference = CampaignRunner(_cfg(workers=1)).run()
+def test_reference_solver_bit_identical(
+    batched_serial, reference_solver, monkeypatch
+):
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    reference = CampaignRunner(_cfg()).run()
     _assert_identical(batched_serial, reference)
 
 
-def test_reference_solver_bit_identical_parallel(batched_serial, reference_solver):
-    reference = CampaignRunner(_cfg(workers=4)).run()
+def test_reference_solver_bit_identical_parallel(
+    batched_serial, reference_solver, monkeypatch
+):
+    monkeypatch.setenv("REPRO_WORKERS", "4")
+    reference = CampaignRunner(_cfg()).run()
     _assert_identical(batched_serial, reference)
 
 
 def test_reference_solver_bit_identical_dfplus_cell(monkeypatch):
     """The non-default bench cell (Dragonfly+ geometry, pinned Valiant)."""
-    cfg = _cfg(workers=1, topology="df+", routing="valiant")
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    cfg = _cfg(topology="df+", routing="valiant")
     batched = CampaignRunner(cfg).run()
     monkeypatch.setattr(par, "_solve_one_run", solve_one_run_reference)
     reference = CampaignRunner(cfg).run()
@@ -94,8 +103,9 @@ def test_block_size_invariance_long_run(monkeypatch):
     The long run spans many background windows, so this also covers the
     window-grouped block splitting.
     """
+    monkeypatch.setenv("REPRO_WORKERS", "1")
     cfg = CampaignConfig.tiny(
-        use_cache=False, days=2.0, long_runs=(("MILC-128", 620),), workers=1
+        use_cache=False, days=2.0, long_runs=(("MILC-128", 620),)
     )
     results = {}
     for block in (1, 7, 64):

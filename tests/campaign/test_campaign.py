@@ -18,6 +18,7 @@ from repro.campaign.runner import (
     _long_step_model,
     run_campaign,
 )
+from repro.features import TIERS
 from repro.network.counters import APP_COUNTERS
 
 
@@ -64,7 +65,8 @@ def test_feature_tensor_tiers(tiny_campaign):
     assert (placed[:, 0, 13] == placed[:, -1, 13]).all()
     full = ds.features(placement=True, io=True, sys=True)
     assert full.shape[2] == 23
-    assert ds.feature_names(placement=True, io=True, sys=True)[-1] == "SYS_PT_PKT_TOT"
+    names = TIERS["app+placement+io+sys"].feature_names()
+    assert len(names) == 23 and names[-1] == "SYS_PT_PKT_TOT"
 
 
 def test_mean_centering(tiny_campaign):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.datasets import LDMS_FEATURES, RunDataset, RunRecord
+from repro.features import TIERS
 from repro.network.counters import APP_COUNTERS
 
 
@@ -78,7 +79,7 @@ def test_property_optimality_monotone_in_tau(n, tau, seed):
 def test_property_feature_tensor_consistent(n, t, seed):
     ds = _dataset(n, t, seed)
     full = ds.features(placement=True, io=True, sys=True)
-    names = ds.feature_names(placement=True, io=True, sys=True)
+    names = TIERS["app+placement+io+sys"].feature_names()
     assert full.shape == (n, t, len(names))
     # The app block is exactly X; the io/sys block exactly ldms.
     np.testing.assert_array_equal(full[:, :, : len(APP_COUNTERS)], ds.X)

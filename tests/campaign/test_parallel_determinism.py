@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.campaign import parallel as par
-from repro.campaign.parallel import CampaignWorkerError, chunked
+from repro.campaign.parallel import CampaignWorkerError
 from repro.campaign.runner import CampaignConfig, CampaignRunner
 from repro.config import resolve_workers
+from repro.parallel import chunked
 
 #: Per-run arrays that must match bitwise between worker counts.
 RUN_ARRAYS = ("step_times", "compute_times", "mpi_times", "counters", "ldms")
@@ -50,11 +51,14 @@ def _assert_identical(a, b) -> None:
 
 @pytest.fixture(scope="module")
 def serial_campaign():
-    return CampaignRunner(_cfg(workers=1)).run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_WORKERS", "1")
+        return CampaignRunner(_cfg()).run()
 
 
-def test_workers4_bit_identical(serial_campaign):
-    parallel = CampaignRunner(_cfg(workers=4)).run()
+def test_workers4_bit_identical(serial_campaign, monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "4")
+    parallel = CampaignRunner(_cfg()).run()
     _assert_identical(serial_campaign, parallel)
 
 
@@ -76,30 +80,27 @@ def _crash_solve(tasks, windows):
 def test_worker_crash_is_clean_error(monkeypatch):
     """A worker dying mid-solve raises CampaignWorkerError, not a hang."""
     monkeypatch.setattr(par, "_task_solve_runs", _crash_solve)
+    monkeypatch.setenv("REPRO_WORKERS", "2")
     with pytest.raises(CampaignWorkerError):
-        CampaignRunner(_cfg(workers=2)).run()
-
-
-def test_workers_not_in_fingerprint():
-    # Output is worker-independent, so the cache key must be too.
-    assert _cfg(workers=1).fingerprint() == _cfg(workers=8).fingerprint()
-    assert _cfg(workers=None).fingerprint() == _cfg(workers=4).fingerprint()
+        CampaignRunner(_cfg()).run()
 
 
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    assert resolve_workers(0) >= 1  # "all cores"
+    assert resolve_workers() == 1
+    monkeypatch.setenv("REPRO_WORKERS", "")
+    assert resolve_workers() == 1
     monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert resolve_workers(None) == 5
-    assert resolve_workers(2) == 5  # env wins over config
+    assert resolve_workers() == 5
+    monkeypatch.setenv("REPRO_WORKERS", "0")
+    assert resolve_workers() >= 1  # "all cores"
     monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
     with pytest.raises(ValueError):
         resolve_workers()
 
 
 def test_chunked():
+    # The runner splits probe and background specs across workers with this.
     assert chunked([], 4) == []
     assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
     flat = [x for chunk in chunked(list(range(17)), 4) for x in chunk]

@@ -26,7 +26,8 @@ from tests.campaign.test_batched_solver import _assert_identical
 
 def test_serial_generation_builds_one_context_per_run(monkeypatch):
     """More probe runs than the worker cache holds: still one build each."""
-    cfg = CampaignConfig.tiny(use_cache=False, days=12.0, workers=1)
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    cfg = CampaignConfig.tiny(use_cache=False, days=12.0)
     builds = []
     resident = []
     init = runner.ProbeRunContext.__init__
@@ -70,8 +71,9 @@ def test_byte_capped_blocks_match_reference_long_run(monkeypatch):
     """A budget of five steps on the tiny machine splits the 620-step
     long run into byte-capped blocks; the runs equal the per-step
     reference bit for bit."""
+    monkeypatch.setenv("REPRO_WORKERS", "1")
     cfg = CampaignConfig.tiny(
-        use_cache=False, days=2.0, long_runs=(("MILC-128", 620),), workers=1
+        use_cache=False, days=2.0, long_runs=(("MILC-128", 620),)
     )
     topo = build_topology(cfg.topology, cfg.preset)
     monkeypatch.setattr(par, "_BLOCK_BYTES", 5 * 8 * topo.num_links)

@@ -11,7 +11,6 @@ from repro.campaign.datasets import RunDataset
 from repro.campaign.runner import CampaignConfig, run_campaign
 from repro.campaign.streaming import (
     StreamConfig,
-    StreamManifest,
     render_stream,
     run_stream,
     shard_fingerprint,
@@ -148,7 +147,8 @@ def test_append_generates_only_the_new_window(_stream_cache):
     hits = METRICS.counter("campaign.cache.hits")
     misses = METRICS.counter("campaign.cache.misses")
     h0, m0 = hits.value, misses.value
-    camp3 = run_stream(StreamConfig(base=base, windows=3, window_days=2.0))
+    sc3 = StreamConfig(base=base, windows=3, window_days=2.0)
+    camp3 = run_stream(sc3)
     # Appending window 2 loads windows 0-1 from disk and generates one.
     assert hits.value - h0 == 2
     assert misses.value - m0 == 1
@@ -167,9 +167,12 @@ def test_append_generates_only_the_new_window(_stream_cache):
     per_window = len(ds) // 3
     assert starts[per_window] > starts[:per_window].max()
 
-    # The manifest persisted and round-trips.
-    man = StreamManifest.load(camp3.stream.fingerprint)
-    assert man is not None
-    assert man.window_fingerprints() == camp3.stream.window_fingerprints()
+    # The manifest lives on the campaign only: it names every window and
+    # shard, and the run writes no manifest file.
+    man = camp3.stream
+    assert man.fingerprint == sc3.fingerprint()
+    assert man.window_fingerprints() == sc3.window_fingerprints()
+    assert man.window_fingerprints()[:2] == camp2.stream.window_fingerprints()
     assert man.shard("AMG-128", 2) == ds.shard_fingerprints[2]
     assert "window 2" in render_stream(man)
+    assert not (_stream_cache / "streams").exists()

@@ -60,7 +60,7 @@ def test_store_views_byte_identical_to_legacy(milc):
     store = get_store(milc)
     for name, spec in TIERS.items():
         a = store.features(name)
-        b = milc.features(**spec.kwargs())
+        b = milc.features(placement=spec.placement, io=spec.io, sys=spec.sys)
         assert a.tobytes() == b.tobytes(), name
 
     m, k = 4, 3

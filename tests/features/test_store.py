@@ -14,7 +14,23 @@ from repro.features import (
     clear_feature_caches,
     get_store,
 )
+from repro.network.counters import (
+    APP_COUNTERS,
+    IO_COUNTERS,
+    PLACEMENT_FEATURES,
+    SYS_COUNTERS,
+)
 from repro.obs import METRICS
+
+#: Each tier's columns, in the order the tier stacks its blocks.
+TIER_COLUMNS = {
+    "app": APP_COUNTERS,
+    "app+placement": APP_COUNTERS + PLACEMENT_FEATURES,
+    "app+placement+io": APP_COUNTERS + PLACEMENT_FEATURES + IO_COUNTERS,
+    "app+placement+io+sys": (
+        APP_COUNTERS + PLACEMENT_FEATURES + IO_COUNTERS + SYS_COUNTERS
+    ),
+}
 
 
 def _counts() -> tuple[int, int]:
@@ -80,11 +96,15 @@ def test_store_is_attached_to_dataset():
 def test_tier_matrix_and_names_match_dataset():
     ds = _dataset()
     store = get_store(ds)
+    assert list(TIERS) == list(TIER_COLUMNS)
     for name, spec in TIERS.items():
         feats = store.features(name)
-        assert np.array_equal(feats, ds.features(**spec.kwargs()))
+        assert np.array_equal(
+            feats,
+            ds.features(placement=spec.placement, io=spec.io, sys=spec.sys),
+        )
         names = store.feature_names(name)
-        assert names == ds.feature_names(**spec.kwargs())
+        assert names == TIER_COLUMNS[name]
         assert feats.shape[2] == len(names)
     assert np.array_equal(store.features(LDMS_SPEC), ds.ldms)
 

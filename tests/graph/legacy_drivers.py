@@ -57,7 +57,6 @@ def ablation_grid(
     n_splits: int = 3,
     seed: int = 0,
     model_factory=default_forecaster,
-    workers: int | None = None,
 ) -> list[ForecastResult]:
     """The full Fig. 8 / Fig. 10 grid for one dataset.
 
@@ -65,12 +64,11 @@ def ablation_grid(
     predicts the same instants from the same number of samples.
 
     The (m, k, tier) cells are independent and fan out over
-    :mod:`repro.parallel` when ``workers`` (or ``REPRO_WORKERS``) asks
-    for it.  Window tensors are built here in the parent — sequentially,
+    :mod:`repro.parallel` when ``REPRO_WORKERS`` asks for it.  Window tensors are built here in the parent — sequentially,
     against the dataset's memoized FeatureStore — and each cell seeds its
     models from the cell coordinates alone, so results are bit-identical
     for any worker count and arrive in grid order.  ``model_factory``
-    must be picklable (a module-level callable) when ``workers > 1``.
+    must be picklable (a module-level callable) on more than one worker.
     """
     align = max(ms)
     specs = [FeatureSpec.resolve(t) for t in tiers]
@@ -88,9 +86,9 @@ def ablation_grid(
         "analysis.ablation_grid",
         dataset=ds.key,
         cells=len(tasks),
-        workers=effective_workers(workers),
+        workers=effective_workers(),
     ):
-        return parallel_map(_score_windows, tasks, workers=workers)
+        return parallel_map(_score_windows, tasks)
 
 
 def forecasting_feature_importances(
@@ -321,9 +319,7 @@ def _dataset_relevance(ds, n_splits: int, max_samples: int):
     return deviation_analysis(ds, n_splits=n_splits, max_samples=max_samples)
 
 
-def run_fig09(
-    campaign=None, fast: bool = False, workers: int | None = None
-) -> ExperimentResult:
+def run_fig09(campaign=None, fast: bool = False) -> ExperimentResult:
     camp = get_campaign(campaign, fast)
     keys = [k for k in DATASET_KEYS if k in camp.keys() and len(camp[k]) >= 4]
     n_splits = 4 if fast else 10
@@ -331,7 +327,7 @@ def run_fig09(
     tasks = [
         (camp[key], min(n_splits, len(camp[key])), max_samples) for key in keys
     ]
-    analyses = parallel_map(_dataset_relevance, tasks, workers=workers)
+    analyses = parallel_map(_dataset_relevance, tasks)
     matrix = []
     mape_rows = []
     results = {}
@@ -361,7 +357,7 @@ def run_fig09(
     )
 
 
-def _forecast_grid(camp, keys, ms, ks, tiers, fast, workers=None):
+def _forecast_grid(camp, keys, ms, ks, tiers, fast):
     factory = fast_forecaster if fast else bench_forecaster
     n_splits = 2
     tier_specs = [FeatureSpec.resolve(t) for t in tiers]
@@ -381,7 +377,6 @@ def _forecast_grid(camp, keys, ms, ks, tiers, fast, workers=None):
             tier_specs,
             n_splits=n_splits,
             model_factory=factory,
-            workers=workers,
         )
         data[key] = results
         rows = []

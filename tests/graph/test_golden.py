@@ -87,13 +87,15 @@ def test_warm_run_matches_and_executes_zero_stages(
 
 
 @pytest.mark.parametrize("workers", [0, 4])
-def test_worker_pool_matches_legacy(graph_env, tiny_campaign, legacy, workers):
+def test_worker_pool_matches_legacy(
+    graph_env, tiny_campaign, legacy, monkeypatch, workers
+):
     """A forced parallel run (fresh compute, any fan-out) changes nothing."""
+    monkeypatch.setenv("REPRO_WORKERS", str(workers))
     results = run_experiments(
         ["fig09", "fig08"],
         campaign=tiny_campaign,
         fast=True,
-        workers=workers,
         force=True,
     )
     deep_equal(results["fig09"], legacy["fig09"], f"w{workers}:fig09")

@@ -184,10 +184,11 @@ def test_plan_rendering_shows_status_and_summary(env):
 
 
 @pytest.mark.parametrize("workers", [1, 4])
-def test_worker_count_never_changes_values(env, workers):
+def test_worker_count_never_changes_values(env, monkeypatch, workers):
     store, runs = env
+    monkeypatch.setenv("REPRO_WORKERS", str(workers))
     values = GraphRunner(
-        _graph(), store=store, campaign_fingerprint=None, workers=workers
+        _graph(), store=store, campaign_fingerprint=None
     ).run(["sum", "dbl"])
     assert values == {"sum": 30, "dbl": 20}
     assert sorted(runs()) == ["add", "double", "source:10"]

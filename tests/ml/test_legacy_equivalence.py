@@ -205,14 +205,15 @@ def _counting(factory):
 
 
 @pytest.mark.parametrize("factory", [_fast_gbr, _NoBinned], ids=["binned", "plain"])
-def test_relevance_fits_h_models_per_split(folds, factory):
+def test_relevance_fits_h_models_per_split(folds, factory, monkeypatch):
     # The path fits H..2 and the scoring reuses them: S*H fits in all,
     # where refitting every nested subset made S*(2H - 1).
     xtr, ytr, _, _, _, _ = folds[0]
     make, fits = _counting(factory)
+    monkeypatch.setenv("REPRO_WORKERS", "1")  # fits counted in-process
     relevance_scores(
         xtr, ytr, [f"f{i}" for i in range(6)], estimator_factory=make,
-        n_splits=3, workers=1,
+        n_splits=3,
     )
     assert len(fits) == 3 * 6
 

@@ -123,15 +123,14 @@ def test_missing_and_new_stages_are_informational():
     assert kinds == {"old": "missing", "new": "new"}
 
 
-def test_cpu_and_rss_gates_only_when_enabled():
+def test_cpu_gate_only_when_enabled():
     base = _stages(a=2.0)
-    cur = {"a": {"wall": 2.0, "cpu": 10.0, "maxrss_kb": 99000,
+    cur = {"a": {"wall": 2.0, "cpu": 10.0, "maxrss_kb": 1000,
                  "status": "run"}}
     _, off = compare_profiles(base, cur, wall_ratio=1.25, min_wall=0.5)
     assert not off
     lines, on = compare_profiles(
-        base, cur, wall_ratio=1.25, cpu_ratio=1.5, rss_ratio=1.5,
-        min_wall=0.5,
+        base, cur, wall_ratio=1.25, cpu_ratio=1.5, min_wall=0.5,
     )
     assert on == ["a"]
     assert any(ln.kind == "regressed" and "cpu" in ln.detail for ln in lines)
@@ -179,6 +178,27 @@ def test_cli_diff_warn_only_exit_zero(tmp_path, capsys):
     base = _write_profile(tmp_path / "base.json", a=2.0)
     cur = _write_profile(tmp_path / "cur.json", a=9.0)
     assert obs_main(["diff", str(base), str(cur), "--warn-only"]) == 0
+
+
+def test_cli_diff_ignores_rss_high_water(tmp_path, capsys):
+    # maxrss_kb is the process high-water at span exit, not the stage's
+    # own peak: doubling it alone is no regression and prints no ratio.
+    base = _write_profile(tmp_path / "base.json", a=2.0)
+    doc = json.loads(base.read_text())
+    doc["stages"]["a"]["maxrss_kb"] *= 2
+    cur = tmp_path / "cur.json"
+    cur.write_text(json.dumps(doc))
+    assert obs_main(["diff", str(base), str(cur), "-v"]) == 0
+    out = capsys.readouterr().out
+    assert "ok" in out and "rss" not in out
+
+
+def test_cli_diff_rss_ratio_is_a_usage_error(tmp_path, capsys):
+    base = _write_profile(tmp_path / "base.json", a=2.0)
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["diff", str(base), str(base), "--rss-ratio", "1.5"])
+    assert exc.value.code == 2
+    assert "--rss-ratio" in capsys.readouterr().err
 
 
 def test_cli_diff_unreadable_exit_two(tmp_path, capsys):

@@ -63,59 +63,62 @@ def xy():
     return x, y
 
 
-def _relevance(x, y, workers):
+def _relevance(x, y, monkeypatch, workers):
+    monkeypatch.setenv("REPRO_WORKERS", str(workers))
     return relevance_scores(
         x,
         y,
         [f"f{i}" for i in range(x.shape[1])],
         estimator_factory=_fast_gbr,
         n_splits=4,
-        workers=workers,
     )
 
 
 @pytest.mark.parametrize("workers", [0, 4])
-def test_relevance_scores_worker_count_invariant(xy, workers):
+def test_relevance_scores_worker_count_invariant(xy, monkeypatch, workers):
     x, y = xy
-    ref = _relevance(x, y, 1)
-    par = _relevance(x, y, workers)
+    ref = _relevance(x, y, monkeypatch, 1)
+    par = _relevance(x, y, monkeypatch, workers)
     assert np.array_equal(ref.scores, par.scores)
     assert ref.prediction_mape == par.prediction_mape
     assert ref.chosen_subsets == par.chosen_subsets
 
 
 def test_relevance_scores_env_override(xy, monkeypatch):
+    # Unset REPRO_WORKERS is serial; setting it is the one way to fan out.
     x, y = xy
-    ref = _relevance(x, y, 1)
+    kwargs = dict(estimator_factory=_fast_gbr, n_splits=4)
+    names = [f"f{i}" for i in range(x.shape[1])]
+    ref = relevance_scores(x, y, names, **kwargs)
     monkeypatch.setenv("REPRO_WORKERS", "2")
-    par = _relevance(x, y, 1)  # env wins over the argument
+    par = relevance_scores(x, y, names, **kwargs)
     assert np.array_equal(ref.scores, par.scores)
     assert ref.prediction_mape == par.prediction_mape
 
 
-def test_binned_fast_path_matches_plain_fits(xy):
+def test_binned_fast_path_matches_plain_fits(xy, monkeypatch):
     # GBR takes the bin-once / column-slice path; _NoBinned re-bins every
     # subset fit.  Per-feature quantile edges make them bit-identical.
     x, y = xy
-    fast = _relevance(x, y, 1)
+    fast = _relevance(x, y, monkeypatch, 1)
     plain = relevance_scores(
         x,
         y,
         [f"f{i}" for i in range(x.shape[1])],
         estimator_factory=_NoBinned,
         n_splits=4,
-        workers=1,
     )
     assert np.array_equal(fast.scores, plain.scores)
     assert fast.prediction_mape == plain.prediction_mape
     assert fast.chosen_subsets == plain.chosen_subsets
 
 
-def test_ablation_grid_worker_count_invariant(tiny_campaign):
+def test_ablation_grid_worker_count_invariant(tiny_campaign, monkeypatch):
     key = next(k for k in tiny_campaign.keys() if "-long" not in k)
     ds = tiny_campaign[key]
 
     def grid(workers):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
         return ablation_grid(
             ds,
             ms=[2, 3],
@@ -123,7 +126,6 @@ def test_ablation_grid_worker_count_invariant(tiny_campaign):
             tiers=["app"],
             n_splits=2,
             model_factory=_tiny_forecaster,
-            workers=workers,
         )
 
     ref = grid(1)

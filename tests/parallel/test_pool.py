@@ -28,7 +28,7 @@ def _pid(_: int) -> int:
 
 
 def _worker_state(_: int) -> tuple[bool, int]:
-    return in_worker(), effective_workers(8)
+    return in_worker(), effective_workers()
 
 
 def _boom(v: int) -> int:
@@ -45,69 +45,88 @@ def _no_env_workers(monkeypatch):
     monkeypatch.delenv(WORKER_ENV, raising=False)
 
 
-def test_map_is_ordered_and_worker_count_invariant():
+def _workers(monkeypatch, n: int) -> None:
+    monkeypatch.setenv("REPRO_WORKERS", str(n))
+
+
+def test_map_is_ordered_and_worker_count_invariant(monkeypatch):
     tasks = [(v,) for v in range(20)]
-    serial = parallel_map(_square, tasks, workers=1)
+    _workers(monkeypatch, 1)
+    serial = parallel_map(_square, tasks)
     assert serial == [v * v for v in range(20)]
-    with WorkerPool(3) as pool:
+    _workers(monkeypatch, 3)
+    with WorkerPool() as pool:
         assert pool.map(_square, tasks) == serial
 
 
-def test_serial_mode_runs_in_process():
-    with WorkerPool(1) as pool:
+def test_serial_mode_runs_in_process(monkeypatch):
+    _workers(monkeypatch, 1)
+    with WorkerPool() as pool:
         assert not pool.parallel
         assert pool.map(_pid, [(0,)]) == [os.getpid()]
 
 
-def test_parallel_mode_forks():
-    with WorkerPool(2) as pool:
+def test_parallel_mode_forks(monkeypatch):
+    _workers(monkeypatch, 2)
+    with WorkerPool() as pool:
         assert pool.parallel
         pids = pool.map(_pid, [(i,) for i in range(6)])
     assert all(p != os.getpid() for p in pids)
 
 
-def test_nested_parallelism_guard():
-    # Inside a pool worker, effective_workers() clamps to 1 regardless of
-    # the requested count, so fan-out points nested in tasks go serial.
-    with WorkerPool(2) as pool:
+def test_nested_parallelism_guard(monkeypatch):
+    # Inside a pool worker, effective_workers() clamps to 1 whatever
+    # REPRO_WORKERS says, so fan-out points nested in tasks go serial.
+    _workers(monkeypatch, 2)
+    with WorkerPool() as pool:
         states = pool.map(_worker_state, [(0,)])
     assert states == [(True, 1)]
     # The parent is not a worker and resolves normally.
     assert not in_worker()
-    assert effective_workers(3) == 3
+    _workers(monkeypatch, 3)
+    assert effective_workers() == 3
 
 
 def test_env_var_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "5")
-    assert effective_workers(2) == 5
-    monkeypatch.setenv("REPRO_WORKERS", "1")
-    pool = WorkerPool(4)
+    # REPRO_WORKERS is the only surface: unset is serial, and every pool
+    # resolves it itself.
+    assert effective_workers() == 1
+    _workers(monkeypatch, 5)
+    assert effective_workers() == 5
+    _workers(monkeypatch, 1)
+    pool = WorkerPool()
     assert not pool.parallel
 
 
-def test_task_exceptions_propagate_in_both_modes():
+def test_task_exceptions_propagate_in_both_modes(monkeypatch):
+    _workers(monkeypatch, 1)
     with pytest.raises(ValueError, match="task 3 exploded"):
-        parallel_map(_boom, [(3,)], workers=1)
-    with WorkerPool(2) as pool:
+        parallel_map(_boom, [(3,)])
+    _workers(monkeypatch, 2)
+    with WorkerPool() as pool:
         with pytest.raises(ValueError, match="task 3 exploded"):
             pool.map(_boom, [(3,)])
 
 
-def test_worker_death_raises_pool_error():
-    with WorkerPool(2) as pool:
+def test_worker_death_raises_pool_error(monkeypatch):
+    _workers(monkeypatch, 2)
+    with WorkerPool() as pool:
         with pytest.raises(WorkerPoolError):
             pool.map(_die, [(i,) for i in range(4)])
         assert pool.broken
 
 
-def test_shared_pool_reuse_and_recreate():
+def test_shared_pool_reuse_and_recreate(monkeypatch):
     shutdown_pool()
     try:
-        serial = get_pool(1)
+        _workers(monkeypatch, 1)
+        serial = get_pool()
         assert not serial.parallel
-        p2 = get_pool(2)
-        assert p2 is get_pool(2)  # stable count -> same pool
-        p3 = get_pool(3)
+        _workers(monkeypatch, 2)
+        p2 = get_pool()
+        assert p2 is get_pool()  # stable count -> same pool
+        _workers(monkeypatch, 3)
+        p3 = get_pool()
         assert p3 is not p2  # count change -> replaced
         assert p3.workers == 3
     finally:
@@ -119,3 +138,4 @@ def test_chunked():
     assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
     assert chunked([1, 2], 8) == [[1], [2]]
     assert [x for c in chunked(list(range(11)), 3) for x in c] == list(range(11))
+    assert chunked([1], 0) == [[1]]

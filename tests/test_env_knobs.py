@@ -173,9 +173,9 @@ def test_experiments_workers_flag_covers_all_work(monkeypatch):
 
     seen = {}
 
-    def run(ids, campaign=None, fast=False, workers=None, force=False):
-        seen["stages"] = effective_workers(workers)
-        seen["generation"] = resolve_workers(None)
+    def run(ids, campaign=None, fast=False, force=False):
+        seen["stages"] = effective_workers()
+        seen["generation"] = resolve_workers()
         raise _Stop
 
     monkeypatch.setenv("REPRO_WORKERS", "1")
@@ -191,7 +191,7 @@ def test_campaign_workers_flag_covers_all_work(monkeypatch):
     seen = {}
 
     def run(cfg, progress=False):
-        seen["generation"] = resolve_workers(cfg.workers)
+        seen["generation"] = resolve_workers()
         raise _Stop
 
     monkeypatch.setenv("REPRO_WORKERS", "1")
