@@ -1,15 +1,16 @@
-"""Perf-regression baseline: one profiled cold ``all`` run, calibrated.
+"""Perf-regression baseline: one traced cold ``all`` run, calibrated.
 
 Runs the experiments CLI once, serially, in a subprocess::
 
-    REPRO_PROFILE=1 REPRO_ARTIFACT_CACHE=0 REPRO_CACHE_DIR=<empty tmp> \\
+    REPRO_TRACE=1 REPRO_ARTIFACT_CACHE=0 REPRO_CACHE_DIR=<empty tmp> \\
         REPRO_TRACE_DIR=<out> python -m repro.experiments all --fast --workers 1
 
 The cache directory is private and empty and the artifact store is off,
-so every stage executes cold inside the profiled trace, campaign
-generation included (the ``campaign`` stage).  The run's JSONL trace and
-its ``<trace>.profile.json`` land in ``--out``.  The harness adds a
-chrome-trace export of the trace and ``PROFILE_all_<mode>.json``: the
+so every stage executes cold inside the trace, campaign generation
+included (the ``campaign`` stage).  The run's JSONL trace, whose every
+span carries its resource sample, lands in ``--out``.  The harness adds
+a chrome-trace export of the trace and ``PROFILE_all_<mode>.json``: the
+run profile (:func:`repro.obs.profile.build_profile` of the trace) as
 per-stage records with wall and CPU seconds divided by
 :func:`calibrate`.  ``python -m repro.obs diff`` gates CI on that file
 against the committed ``benchmarks/baselines/PROFILE_all_fast.json``.
@@ -40,6 +41,7 @@ import numpy as np
 from repro.experiments import PAPER_EXPERIMENTS
 from repro.experiments.context import experiment_config
 from repro.obs.export import export_trace
+from repro.obs.profile import build_profile
 from repro.obs.report import load_trace
 
 
@@ -86,7 +88,7 @@ def calibrate() -> float:
 
 
 def profile_all(fast: bool, out_dir: Path) -> Path:
-    """Run the profiled cold ``all`` CLI into ``out_dir``; return its trace.
+    """Run the traced cold ``all`` CLI into ``out_dir``; return its trace.
 
     Inherited ``REPRO_*`` knobs are dropped, so the run is the same
     whatever the caller's environment sets.
@@ -98,7 +100,7 @@ def profile_all(fast: bool, out_dir: Path) -> Path:
     with tempfile.TemporaryDirectory(prefix="repro-profile-") as cache_dir:
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
         env.update(
-            REPRO_PROFILE="1",
+            REPRO_TRACE="1",
             REPRO_ARTIFACT_CACHE="0",
             REPRO_CACHE_DIR=cache_dir,
             REPRO_TRACE_DIR=str(out_dir),
@@ -116,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="test-scale campaign (the CI configuration)")
     ap.add_argument("--out", required=True,
                     help="directory for PROFILE_all_<mode>.json, the run's "
-                    "trace, its profile.json and a chrome-trace export")
+                    "trace and its chrome-trace export")
     args = ap.parse_args(argv)
     out_dir = Path(args.out).resolve()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -126,10 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"campaign {fingerprint} (mode={mode}, cpu_count={os.cpu_count()})")
     calibration = calibrate()
     trace_path = profile_all(args.fast, out_dir)
-    export_trace(load_trace(trace_path), "chrome-trace")
-    prof = json.loads(
-        trace_path.with_suffix(".profile.json").read_text(encoding="utf-8")
-    )
+    data = load_trace(trace_path)
+    export_trace(data)
+    prof = build_profile(data)
 
     stages = {}
     for key, rec in prof["stages"].items():

@@ -42,7 +42,6 @@ from repro.network.engine import BaseLoad, CongestionEngine
 from repro.network.counters import synthesize_router_counters_block
 from repro.network.ldms import LDMSSampler
 from repro.obs import span
-from repro.obs.profile import profiled_span
 from repro.parallel import WorkerPoolError
 from repro.system.users import UserPopulation
 from repro.telemetry.ariesncl import AriesNCL
@@ -236,7 +235,7 @@ def _task_probe_contributions(
     """``(job_id, mean traffic contribution as seen by other jobs)`` per
     probe; each probe's context stays cached for its run's solve."""
     out = []
-    with profiled_span("campaign.task.probe_contributions", n=len(specs)):
+    with span("campaign.task.probe_contributions", n=len(specs)):
         for spec in specs:
             ctx = _get_context(
                 spec.job_id, spec.key, spec.long_steps, spec.nodes, keep=True
@@ -250,7 +249,7 @@ def _task_bg_contributions(
 ) -> list[tuple[int, BaseLoad, BaseLoad]]:
     """(steady comm, filesystem) contributions per background job."""
     env = _require_env()
-    with profiled_span("campaign.task.bg_contributions", n=len(specs)):
+    with span("campaign.task.bg_contributions", n=len(specs)):
         pairs = env.bg_model.contributions_for_batch(
             [(spec.job_id, spec.user, spec.nodes) for spec in specs]
         )
@@ -265,7 +264,7 @@ def _task_solve_runs(
 ) -> list[RunResult]:
     """Solve a chunk of probe runs against shared background windows."""
     env = _require_env()
-    with profiled_span(
+    with span(
         "campaign.task.solve",
         runs=len(tasks),
         steps=sum(len(t.window_ids) for t in tasks),

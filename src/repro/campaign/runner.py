@@ -51,8 +51,7 @@ from repro.network.engine import (
     CongestionEngine,
     slowdown_curve,
 )
-from repro.obs import METRICS, annotate, event, get_logger
-from repro.obs.profile import profiled_span
+from repro.obs import METRICS, annotate, event, get_logger, span
 from repro.network.traffic import (
     FlowSet,
     allreduce_flows,
@@ -862,14 +861,14 @@ class CampaignRunner:
     def run(self, progress: bool = False) -> Campaign:
         cfg = self.config
         fingerprint = cfg.fingerprint()
-        with profiled_span("campaign.run", fingerprint=fingerprint) as sp:
+        with span("campaign.run", fingerprint=fingerprint) as sp:
             campaign = Campaign.load(fingerprint) if cfg.use_cache else None
             cached = campaign is not None
             if campaign is None:
                 METRICS.counter("campaign.cache.misses").inc()
                 campaign = self._generate(progress=progress)
                 if cfg.use_cache:
-                    with profiled_span("campaign.save", fingerprint=fingerprint):
+                    with span("campaign.save", fingerprint=fingerprint):
                         campaign.save(fingerprint)
             else:
                 METRICS.counter("campaign.cache.hits").inc()
@@ -937,7 +936,7 @@ class CampaignRunner:
         horizon = cfg.days * DAY
 
         # 1. Jobs: background + probes, scheduled together.
-        with profiled_span("campaign.schedule", days=cfg.days):
+        with span("campaign.schedule", days=cfg.days):
             bg_gen = BackgroundWorkloadGenerator.for_target_utilisation(
                 self.population,
                 rng_for("bg-workload", seed=cfg.seed),
@@ -1004,7 +1003,7 @@ class CampaignRunner:
         # 4. Assemble datasets.
         from repro.topology.placement import placement_features
 
-        with profiled_span("campaign.assemble", runs=len(probes)):
+        with span("campaign.assemble", runs=len(probes)):
             datasets: dict[str, RunDataset] = {
                 key: RunDataset(key=key) for key in cfg.dataset_keys
             }
@@ -1227,7 +1226,7 @@ class CampaignRunner:
             while len(inflight) > max_inflight:
                 collect(inflight.popleft())
 
-        with profiled_span(
+        with span(
             "campaign.sweep", samples=len(samples), runs=n_probes,
             workers=workers,
         ):

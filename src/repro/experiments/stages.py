@@ -90,11 +90,10 @@ def load_or_build_manifest(ctx) -> dict:
     The build path *is* the campaign stage executing — just early, at
     graph-build time — so it opens the same ``graph.stage`` span the
     scheduler would: cold-run campaign generation stays attributed to a
-    stage, and profiled per-stage walls keep summing to the run's root
-    span.
+    stage, and per-stage walls keep summing to the run's root span.
     """
     from repro.graph import MISS
-    from repro.obs.profile import profiled_span
+    from repro.obs import span
 
     group, fp = campaign_stage_fingerprint(ctx.campaign_fingerprint)
     value = ctx.store.load(group, fp)
@@ -103,7 +102,7 @@ def load_or_build_manifest(ctx) -> dict:
     attrs = {"stage": CAMPAIGN_STAGE}
     if ctx.cell:
         attrs["cell"] = "/".join(ctx.cell)
-    with profiled_span("graph.stage", **attrs):
+    with span("graph.stage", **attrs):
         manifest = build_manifest(ctx.campaign())
     ctx.store.save(group, fp, manifest)
     return manifest

@@ -20,6 +20,12 @@ resolution time and ``graph.stage.run`` per executed stage — which is
 what the warm-run "zero recompute" tests and the ``repro.obs report``
 cache summary read.
 
+Under ``REPRO_TRACE=1`` each run opens a ``graph.run`` span, each
+executed stage a ``graph.stage`` span (with the resource sample every
+span carries), and one ``graph.plan`` event records the resolved DAG
+with the timed artifact load of every hit: the stage records of the
+run profile (:func:`repro.obs.profile.build_profile`) come from these.
+
 Determinism: stages are pure functions of their fingerprinted inputs
 and results are keyed by stage name, so completion order (and therefore
 worker count) can never perturb any downstream value.
@@ -34,8 +40,7 @@ from typing import Callable
 
 from repro.graph.stage import Graph, Stage, StageCtx, resolve_fn
 from repro.graph.store import MISS, ArtifactStore
-from repro.obs import METRICS, event
-from repro.obs.profile import profile_requested, profiled_span
+from repro.obs import METRICS, event, span
 from repro.parallel import get_pool, wait_any
 
 
@@ -53,7 +58,7 @@ def _exec_stage(
     attrs = {"stage": name}
     if cell:
         attrs["cell"] = cell
-    with profiled_span("graph.stage", **attrs):
+    with span("graph.stage", **attrs):
         return fn(StageCtx(params=params, inputs=inputs, ds=ds, camp=camp))
 
 
@@ -208,12 +213,11 @@ class GraphRunner:
         attrs = {"targets": len(targets), "stages": len(self.graph.stages)}
         if self.cell:
             attrs["cell"] = self.cell
-        with profiled_span("graph.run", **attrs):
+        with span("graph.run", **attrs):
             return self._run(targets)
 
     def _run(self, targets: list[str]) -> dict[str, object]:
         graph, store, fps = self.graph, self.store, self.fingerprints
-        prof_on = profile_requested()
 
         # Needed-set walk, newest-first: loads hit artifacts as it goes
         # (digest-verified — a corrupt entry counts as a miss and its
@@ -229,12 +233,11 @@ class GraphRunner:
             seen.add(name)
             st = graph.stages[name]
             if not self.force and store.enabled:
-                t0 = time.perf_counter() if prof_on else 0.0
+                t0 = time.perf_counter()
                 value = store.load(st.group(), fps[name])
                 if value is not MISS:
                     values[name] = value
-                    if prof_on:
-                        load_times[name] = time.perf_counter() - t0
+                    load_times[name] = time.perf_counter() - t0
                     continue
                 self._count("miss", shard=1 if st.shard else 0)
             exec_set.add(name)
@@ -259,10 +262,10 @@ class GraphRunner:
     ) -> None:
         """Record the resolved DAG as one ``graph.plan`` trace event.
 
-        Carries every needed stage's status, input edges, and (when
-        profiling) the timed artifact load of each hit — the structural
-        half of the profile that critical-path analysis replays, since
-        hits never open a ``graph.stage`` span of their own.
+        Carries every needed stage's status, input edges, and the timed
+        artifact load of each hit — the structural half of the profile
+        that critical-path analysis replays, since hits never open a
+        ``graph.stage`` span of their own.
         """
         from repro.obs import trace as obs_trace
 
@@ -353,7 +356,7 @@ class GraphRunner:
         attrs = {"stage": name}
         if self.cell:
             attrs["cell"] = self.cell
-        with profiled_span("graph.stage", **attrs):
+        with span("graph.stage", **attrs):
             camp = self._campaign() if st.campaign else None
             ds = (
                 self._campaign()[st.dataset]

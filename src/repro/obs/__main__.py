@@ -1,14 +1,13 @@
-"""CLI: trace reports, profile-viewer exports, and the perf sentinel.
+"""CLI: trace reports, the chrome-trace export, and the perf sentinel.
 
 ::
 
     python -m repro.obs report [<trace.jsonl> | <dir>] [--tree]
         [--format text|json] [--critical-path]
-    python -m repro.obs export [<trace.jsonl> | <dir>]
-        [--format chrome-trace|speedscope] [--out FILE]
+    python -m repro.obs export [<trace.jsonl> | <dir>] [--out FILE]
     python -m repro.obs diff <baseline> <current>
         [--wall-ratio 1.25] [--cpu-ratio N]
-        [--min-wall 0.5] [--warn-only] [-v]
+        [--min-wall 0.5] [--warn-only] [--spans] [-v]
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def _cmd_export(args) -> int:
     path = _resolve_trace(args.trace)
     if path is None:
         return 1
-    out = export_trace(load_trace(path), args.format, args.out)
+    out = export_trace(load_trace(path), args.out)
     print(f"wrote {out}")
     return 0
 
@@ -119,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     rep = sub.add_parser(
         "report",
         help="summarise one trace: self/cumulative span times, cache "
-        "hit rates, profiled resource usage",
+        "hit rates, per-stage resource usage",
     )
     rep.add_argument(
         "trace",
@@ -149,18 +148,14 @@ def main(argv: list[str] | None = None) -> int:
 
     exp = sub.add_parser(
         "export",
-        help="convert a trace for external profile viewers",
+        help="write a trace as a chrome-trace file (opens in "
+        "chrome://tracing, Perfetto, and speedscope)",
     )
     exp.add_argument("trace", nargs="?", default=None)
     exp.add_argument(
-        "--format",
-        choices=("chrome-trace", "speedscope"),
-        default="chrome-trace",
-        help="target format (chrome-trace opens in chrome://tracing, "
-        "Perfetto, and speedscope)",
-    )
-    exp.add_argument(
-        "--out", default=None, help="output path (default: next to the trace)"
+        "--out",
+        default=None,
+        help="output path (default: <trace stem>.chrome.json next to it)",
     )
     exp.set_defaults(fn=_cmd_export)
 
@@ -169,8 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         help="compare two run profiles per stage; nonzero exit on "
         "regression (the CI sentinel)",
     )
-    dif.add_argument("baseline", help="baseline profile (or .jsonl trace)")
-    dif.add_argument("current", help="current profile (or .jsonl trace)")
+    dif.add_argument(
+        "baseline", help="baseline .jsonl trace or stages document"
+    )
+    dif.add_argument("current", help="current .jsonl trace or stages document")
     dif.add_argument(
         "--wall-ratio",
         type=float,
@@ -200,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         "--spans",
         action="store_true",
         help="compare per-span-name records instead of graph stages "
-        "(campaign phases, worker batches)",
+        "(campaign phases and tasks)",
     )
     dif.add_argument(
         "-v", "--verbose", action="store_true",

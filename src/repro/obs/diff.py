@@ -6,24 +6,23 @@ any stage breaches its threshold — the gate the CI
 ``profile`` job runs against the committed
 ``benchmarks/baselines/PROFILE_all_fast.json``.
 
-Accepted inputs, auto-detected per file:
+Each side is one of two inputs, told apart by suffix:
 
-* a harness baseline (``PROFILE_all_fast.json``, calibration-normalized
-  walls under ``stages``),
-* a run ``profile.json`` written by ``trace.end_run`` /
-  ``GraphRunner`` (raw walls),
-* a ``report --format json`` document (its ``profile`` key),
-* a raw ``.jsonl`` trace (aggregated on the fly).
+* a ``.jsonl`` trace, aggregated on the fly
+  (:func:`repro.obs.profile.build_profile`; raw seconds),
+* any other file: a JSON ``stages`` document such as the harness
+  baseline ``PROFILE_all_fast.json`` (calibration-normalized walls).
 
 When both sides carry ``normalized_wall`` (harness profiles), the
 comparison is machine-speed independent; raw-wall comparisons are only
 meaningful on comparable hardware, which is why CI diffs two harness
 profiles.  The two units never mix: a harness profile against a raw one
 is refused (:func:`unit_mismatch`), since their ratio is the machine
-calibration, not a change in the code.  Stages below the ``--min-wall``
-noise floor and stages present on only one side are reported but never
-fail the gate (the DAG legitimately changes shape when experiments are
-added).
+calibration, not a change in the code.  Neither may a side with no
+records to compare pass as "no regression": :func:`load_profile_stages`
+refuses it.  Stages below the ``--min-wall`` noise floor and stages
+present on only one side are reported but never fail the gate (the DAG
+legitimately changes shape when experiments are added).
 
 Peak RSS is not compared: a profile's ``maxrss_kb`` is the process's
 ``ru_maxrss`` high-water at span exit, so its ratio between two runs
@@ -47,34 +46,36 @@ DEFAULT_MIN_WALL = 0.5
 def load_profile_stages(
     path: "Path | str", section: str = "stages"
 ) -> dict[str, dict]:
-    """Normalise any accepted profile input to ``{stage: record}``.
+    """Normalise one diff input to ``{stage: record}``.
 
     Records carry ``wall`` (preferring ``normalized_wall`` when the
     source has one, flagged by ``normalized``), plus ``cpu`` and the
     process RSS high-water ``maxrss_kb`` when available.
     ``section="spans"`` selects the per-span-name records instead of
     the graph stages — that is how ``diff --spans`` compares campaign
-    internals (``campaign.task.solve``, worker batches, ...) between
-    two runs that never open a graph stage.
+    internals (``campaign.task.solve``, ...) between two runs that
+    never open a graph stage.
+
+    Raises ValueError when the section holds no records (a run that
+    opened no graph stage, an empty document): a diff against nothing
+    would pass having compared nothing.
     """
     path = Path(path)
     if path.suffix == ".jsonl":
         from repro.obs.profile import build_profile
         from repro.obs.report import load_trace
 
-        prof = build_profile(load_trace(path))
-        raw = prof[section] if prof else {}
+        doc = build_profile(load_trace(path)) or {}
     else:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        if section in obj:
-            raw = obj[section]
-        elif isinstance(obj.get("profile"), dict):
-            raw = obj["profile"].get(section, {})
-        else:
-            raise ValueError(
-                f"{path} holds no per-stage profile "
-                f"(expected {section!r} or a report's 'profile' section)"
-            )
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            doc = {}
+    raw = doc.get(section)
+    if not raw:
+        hint = ""
+        if section == "stages" and doc.get("spans"):
+            hint = "; it holds span records, which diff --spans compares"
+        raise ValueError(f"{path} holds no {section!r} records{hint}")
     out: dict[str, dict] = {}
     for name, rec in raw.items():
         wall = rec.get("normalized_wall")
@@ -105,7 +106,7 @@ def unit_mismatch(
     """Why two loaded profiles cannot be compared, or None when they can.
 
     Harness walls are in calibration units (seconds divided by a
-    machine-speed yardstick), run profiles in raw seconds; every ratio
+    machine-speed yardstick), traces in raw seconds; every ratio
     between the two is that yardstick, so a mixed diff would pass or
     fail on units alone.
     """
@@ -117,7 +118,7 @@ def unit_mismatch(
     return (
         f"{baseline_path} holds {unit[base.pop()]} but {current_path} "
         f"holds {unit[cur.pop()]}; diff two harness profiles "
-        "(python -m benchmarks.perf_harness) or two run profiles"
+        "(python -m benchmarks.perf_harness) or two .jsonl traces"
     )
 
 

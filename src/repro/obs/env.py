@@ -1,8 +1,8 @@
 """The one parser for the boolean ``REPRO_*`` toggles.
 
-``REPRO_FAST``, ``REPRO_TRACE``, ``REPRO_PROFILE`` and
-``REPRO_ARTIFACT_CACHE`` are on/off knobs read by different layers;
-:func:`env_flag` gives them one meaning.  It lives here because
+``REPRO_FAST``, ``REPRO_TRACE`` and ``REPRO_ARTIFACT_CACHE`` are
+on/off knobs read by different layers; :func:`env_flag` gives them one
+meaning.  It lives here because
 :mod:`repro.obs` is the package every layer may import.
 """
 

@@ -1,21 +1,13 @@
-"""Export a JSONL trace to standard profile-viewer formats.
+"""Export a JSONL trace as a Chrome Trace Event file.
 
-``python -m repro.obs export [trace] --format chrome-trace`` converts
-the span records into formats external viewers open directly:
+``python -m repro.obs export [trace]`` writes the Chrome Trace Event
+JSON format, which ``chrome://tracing``, Perfetto and speedscope all
+load: one complete ``"X"`` event per span, microsecond timestamps
+relative to the earliest span, ``pid``/``tid`` from the recording
+process so every worker gets its own track, span attributes and the
+``prof`` resource sample in ``args``.
 
-``chrome-trace``
-    The Chrome Trace Event JSON format (``chrome://tracing``, Perfetto,
-    and speedscope all load it): one complete ``"X"`` event per span,
-    microsecond timestamps relative to the earliest span, ``pid``/
-    ``tid`` from the recording process so every worker gets its own
-    track, span attributes and ``prof`` resource deltas in ``args``.
-
-``speedscope``
-    The native speedscope evented format: one profile per process with
-    strictly nested open/close events derived from the span intervals
-    (overlap from racing clocks is clamped to the enclosing span).
-
-Both are pure functions of the loaded trace — exporting never touches
+The export is a pure function of the loaded trace — it never touches
 the trace file or any experiment output.
 """
 
@@ -25,8 +17,6 @@ import json
 from pathlib import Path
 
 from repro.obs.report import TraceData
-
-FORMATS = ("chrome-trace", "speedscope")
 
 
 def chrome_trace(data: TraceData) -> dict:
@@ -67,97 +57,19 @@ def chrome_trace(data: TraceData) -> dict:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def speedscope(data: TraceData) -> dict:
-    """The trace as a speedscope evented-format document.
+def export_trace(data: TraceData, out: "Path | str | None" = None) -> Path:
+    """Write ``data`` as a chrome-trace file; returns the output path.
 
-    Spans nest by construction inside one process (context managers on
-    one thread), so per-pid interval sorting recovers the open/close
-    event stream; a child whose clock ran past its parent's close is
-    clamped rather than breaking the required strict nesting.
+    The default output sits next to the trace: ``<stem>.chrome.json``.
     """
-    spans = [sp for sp in data.spans if "ts" in sp and "dur" in sp]
-    t0 = min((sp["ts"] for sp in spans), default=0.0)
-    frames: list[dict] = []
-    frame_ids: dict[str, int] = {}
-
-    def frame(name: str) -> int:
-        if name not in frame_ids:
-            frame_ids[name] = len(frames)
-            frames.append({"name": name})
-        return frame_ids[name]
-
-    by_pid: dict[int, list[dict]] = {}
-    for sp in spans:
-        by_pid.setdefault(sp.get("pid", 0), []).append(sp)
-
-    profiles = []
-    for pid in sorted(by_pid):
-        # Longest-first at equal starts puts parents before children.
-        ordered = sorted(
-            by_pid[pid], key=lambda s: (s["ts"] - t0, -s["dur"])
-        )
-        events: list[dict] = []
-        stack: list[tuple[int, float]] = []  # (frame, end time)
-        end_value = 0.0
-        for sp in ordered:
-            start = sp["ts"] - t0
-            end = start + sp["dur"]
-            while stack and stack[-1][1] <= start:
-                f, e = stack.pop()
-                events.append({"type": "C", "frame": f, "at": round(e, 6)})
-            if stack and end > stack[-1][1]:
-                end = stack[-1][1]  # clamp clock skew into the parent
-                start = min(start, end)
-            f = frame(sp["name"])
-            events.append({"type": "O", "frame": f, "at": round(start, 6)})
-            stack.append((f, end))
-            end_value = max(end_value, end)
-        while stack:
-            f, e = stack.pop()
-            events.append({"type": "C", "frame": f, "at": round(e, 6)})
-        profiles.append(
-            {
-                "type": "evented",
-                "name": f"pid {pid}",
-                "unit": "seconds",
-                "startValue": 0.0,
-                "endValue": round(end_value, 6),
-                "events": events,
-            }
-        )
-
-    name = data.manifest.get("run_id") if data.manifest else data.path.name
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "shared": {"frames": frames},
-        "profiles": profiles,
-        "exporter": "repro.obs",
-    }
-
-
-def export_trace(
-    data: TraceData, fmt: str, out: "Path | str | None" = None
-) -> Path:
-    """Convert ``data`` and write it; returns the output path.
-
-    Default output sits next to the trace: ``<stem>.chrome.json`` or
-    ``<stem>.speedscope.json``.
-    """
-    if fmt == "chrome-trace":
-        doc, suffix = chrome_trace(data), ".chrome.json"
-    elif fmt == "speedscope":
-        doc, suffix = speedscope(data), ".speedscope.json"
-    else:
-        raise ValueError(
-            f"unknown export format {fmt!r} (choose from {FORMATS})"
-        )
     if out is None:
         stem = data.path.name
         if stem.endswith(".jsonl"):
             stem = stem[: -len(".jsonl")]
-        out = data.path.with_name(stem + suffix)
+        out = data.path.with_name(stem + ".chrome.json")
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    out.write_text(
+        json.dumps(chrome_trace(data), indent=2) + "\n", encoding="utf-8"
+    )
     return out

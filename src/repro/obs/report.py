@@ -193,8 +193,8 @@ def critical_paths(data: TraceData) -> list[dict]:
     statuses and input edges), attributing to each stage:
 
     * its summed ``graph.stage`` span wall when it executed,
-    * its timed artifact load when it was a hit (profiled runs),
-    * zero otherwise (hits in unprofiled traces).
+    * its timed artifact load when it was a hit,
+    * zero otherwise.
 
     Returns one record per plan with the dominant chain, its wall, the
     executed-vs-hit split, and the matching ``graph.run`` root wall —
@@ -309,7 +309,8 @@ def render_critical_path(data: TraceData) -> str:
 
 
 def _profile_summary(data: TraceData) -> list[str]:
-    """Top resource consumers, shown when the trace holds prof records."""
+    """Top stages by wall with their CPU and the process RSS
+    high-water, shown when the trace's spans carry resource samples."""
     from repro.obs.profile import build_profile
 
     prof = build_profile(data)

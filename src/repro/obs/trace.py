@@ -24,7 +24,7 @@ Record types (the ``"t"`` field):
     one on exit.
 ``truncated``
     Written once when the trace file crosses ``REPRO_TRACE_MAX_MB``;
-    every later record from that process is dropped so a long profiled
+    every later record from that process is dropped so a long traced
     run degrades to a capped trace instead of filling the disk.
 
 Enablement: ``REPRO_TRACE=1`` turns tracing on; entry points (the
@@ -57,10 +57,8 @@ TRACE_ENV = "REPRO_TRACE"
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
 #: Exported by ``start_run`` so subprocess workers join the same trace.
 TRACE_FILE_ENV = "REPRO_TRACE_FILE"
-#: Resource profiling (:mod:`repro.obs.profile`); implies tracing.
-PROFILE_ENV = "REPRO_PROFILE"
 #: Trace size cap in MiB (float; ``<= 0`` disables the guard).  A long
-#: profiled campaign run must degrade to a truncated trace, not a full
+#: traced campaign run must degrade to a truncated trace, not a full
 #: disk.
 TRACE_MAX_ENV = "REPRO_TRACE_MAX_MB"
 DEFAULT_TRACE_MAX_MB = 512.0
@@ -81,15 +79,9 @@ _TRUNCATED = False
 _SINCE_SIZE_CHECK = 0
 
 
-def profile_requested() -> bool:
-    """``REPRO_PROFILE`` truthiness (resource profiling wanted)."""
-    return env_flag(PROFILE_ENV, False)
-
-
 def trace_requested() -> bool:
-    """Tracing wanted for this invocation (``REPRO_TRACE``, or implied
-    by ``REPRO_PROFILE`` — profiled records need a sink to land in)."""
-    return env_flag(TRACE_ENV, False) or profile_requested()
+    """Tracing wanted for this invocation (``REPRO_TRACE``)."""
+    return env_flag(TRACE_ENV, False)
 
 
 def trace_dir() -> Path:
@@ -223,6 +215,9 @@ def start_run(name: str = "run", path: "Path | str | None" = None) -> Path:
     """Open a trace file, write the manifest, and export it to workers.
 
     Idempotent: a second call while a run is open returns the open path.
+    Raises ValueError naming the directory (and the knob that chose it)
+    when the trace file cannot be created there, so a CLI's knob check
+    reports it as a usage error.
     """
     global _SINK, _RUN_PATH, _IS_WORKER, _ATEXIT_REGISTERED
     global _TRUNCATED, _SINCE_SIZE_CHECK
@@ -234,11 +229,22 @@ def start_run(name: str = "run", path: "Path | str | None" = None) -> Path:
         _SINCE_SIZE_CHECK = 0
         stamp = time.strftime("%Y%m%dT%H%M%S")
         run_id = f"{stamp}-{os.getpid()}-{name}"
+        where = ""
         if path is None:
             path = trace_dir() / f"{run_id}.jsonl"
+            knob = TRACE_DIR_ENV if os.environ.get(TRACE_DIR_ENV) else (
+                "REPRO_CACHE_DIR"
+            )
+            where = f"{knob}: "
         path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _SINK = open(path, "a", encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            _SINK = open(path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(
+                f"{where}cannot create a trace file in {path.parent}: "
+                f"{exc.strerror or exc}"
+            ) from exc
         _RUN_PATH = path
         _IS_WORKER = False
         os.environ[TRACE_FILE_ENV] = str(path)
@@ -330,12 +336,7 @@ def _attach_worker() -> Path | None:
 
 
 def end_run() -> None:
-    """Flush this process's final metrics and close the sink.
-
-    The root process of a profiled run (``REPRO_PROFILE=1``) also
-    aggregates the finished trace into ``<trace>.profile.json`` — every
-    worker has flushed its records by the time the root closes.
-    """
+    """Flush this process's final metrics and close the sink."""
     global _SINK, _RUN_PATH, _IS_WORKER, _TRUNCATED, _SINCE_SIZE_CHECK
     if _SINK is None:
         _refresh_gate()
@@ -351,7 +352,7 @@ def end_run() -> None:
     )
     with _LOCK:
         sink, _SINK = _SINK, None
-        path, _RUN_PATH = _RUN_PATH, None
+        _RUN_PATH = None
         was_worker, _IS_WORKER = _IS_WORKER, False
         _TRUNCATED = False
         _SINCE_SIZE_CHECK = 0
@@ -362,19 +363,6 @@ def end_run() -> None:
         if not was_worker:
             os.environ.pop(TRACE_FILE_ENV, None)
         _refresh_gate()
-    if path is not None and not was_worker and profile_requested():
-        try:
-            from repro.obs.profile import write_profile_json
-
-            write_profile_json(path)
-        except Exception as exc:  # pragma: no cover - best-effort output
-            import warnings
-
-            warnings.warn(
-                f"could not write run profile for {path}: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
 
 def event(name: str, **attrs) -> None:
@@ -403,9 +391,9 @@ def annotate(**attrs) -> None:
 
 # Resolve the gate once at import: in a freshly spawned worker this sees
 # the parent's exported TRACE_FILE_ENV; in an untraced process it leaves
-# the single-bool fast path in place.  A bad REPRO_TRACE/REPRO_PROFILE
-# value must not fail the import: the gate stays open, so the next
-# ensure_run() (a CLI's knob check, or the first span) raises naming it.
+# the single-bool fast path in place.  A bad REPRO_TRACE value must not
+# fail the import: the gate stays open, so the next ensure_run() (a
+# CLI's knob check, or the first span) raises naming it.
 try:
     _refresh_gate()
 except ValueError:

@@ -15,7 +15,10 @@ folds) fans out over the same kind of pool:
   gain the ``[w<pid>]`` prefix, spans append to the parent's trace file
   (``REPRO_TRACE_FILE``), and every submission carries the submitting
   span id so worker spans graft onto the parent's span tree
-  (:func:`repro.obs.remote_parent`);
+  (:func:`repro.obs.remote_parent`).  The pool adds no per-task span:
+  every task function opens its own (``graph.stage``, ``ml.rfe.fold``,
+  ``campaign.task.*``), and like every span it carries the worker's
+  resource sample;
 * a nested-parallelism guard: workers advertise themselves via
   ``REPRO_PARALLEL_WORKER`` and :func:`effective_workers` resolves to 1
   inside one, so a driver that fans datasets out never has its workers
@@ -41,9 +44,8 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import resolve_workers
-from repro.obs import METRICS, current_span_id, remote_parent
+from repro.obs import current_span_id, remote_parent, span
 from repro.obs.log import configure_worker_logging
-from repro.obs.profile import profile_requested, profiled_span
 from repro.obs.trace import attach_worker
 
 __all__ = [
@@ -109,18 +111,8 @@ def _bootstrap_worker(initializer, initargs) -> None:
 
 def _remote_call(parent_span_id: "str | None", fn, args):
     """Run one task with the submitting span adopted as ambient parent,
-    so worker-side spans graft onto the parent process's span tree.
-
-    Under ``REPRO_PROFILE=1`` each task also gets a resource-sampled
-    ``parallel.task`` span (the per-worker profile record the run
-    profile re-roots); without profiling no extra span is emitted, so
-    plain traces keep their pre-profiler record volume.
-    """
+    so worker-side spans graft onto the parent process's span tree."""
     with remote_parent(parent_span_id):
-        if profile_requested():
-            task = getattr(fn, "__name__", str(fn))
-            with profiled_span("parallel.task", task=task):
-                return fn(*args)
         return fn(*args)
 
 
@@ -182,7 +174,7 @@ class WorkerPool:
         Exception class raised when a worker dies or the pool breaks
         (must subclass :class:`WorkerPoolError`).
     name:
-        Label for spans and metrics.
+        Label for the ``parallel.map`` span and worker-death errors.
     """
 
     def __init__(
@@ -241,10 +233,9 @@ class WorkerPool:
         gather: results come back in task order no matter which worker
         finishes first."""
         tasks = list(tasks)
-        with profiled_span(
+        with span(
             "parallel.map", pool=self.name, tasks=len(tasks), workers=self.workers
         ):
-            METRICS.counter("parallel.tasks").inc(len(tasks))
             futures = [self.submit(fn, *args) for args in tasks]
             return [self.result(f) for f in futures]
 

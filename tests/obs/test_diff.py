@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.obs import span, trace
 from repro.obs.__main__ import main as obs_main
 from repro.obs.diff import (
     DEFAULT_MIN_WALL,
@@ -55,20 +56,6 @@ def test_load_profile_json_sums_cpu_components(tmp_path):
     stages = load_profile_stages(p)
     assert stages["b"]["wall"] == 4.0
     assert stages["b"]["cpu"] == 1.5
-
-
-def test_load_report_json_unwraps_profile_key(tmp_path):
-    doc = {
-        "format": 1,
-        "trace": "t.jsonl",
-        "profile": {
-            "stages": {"c": {"wall": 2.0, "cpu_user": 1.0, "cpu_sys": 0.0,
-                             "maxrss_kb": 3, "status": "run"}},
-        },
-    }
-    p = tmp_path / "report.json"
-    p.write_text(json.dumps(doc))
-    assert load_profile_stages(p)["c"]["wall"] == 2.0
 
 
 def test_load_rejects_unrecognized_document(tmp_path):
@@ -237,3 +224,38 @@ def test_cli_diff_refuses_mixed_units(tmp_path, capsys, harness_first):
     err = capsys.readouterr().err
     assert str(harness) in err and str(raw) in err
     assert "calibration-normalized" in err and "raw seconds" in err
+
+
+def _trace_without_stages(tmp_path):
+    """A real trace whose spans open no graph stage (a campaign run)."""
+    path = tmp_path / "campaign.jsonl"
+    trace.start_run("difftest", path=path)
+    with span("campaign.run"):
+        with span("campaign.task.solve"):
+            pass
+    trace.end_run()
+    return path
+
+
+def test_cli_diff_trace_without_stages_needs_spans(
+    tmp_path, clean_trace_state, capsys
+):
+    path = _trace_without_stages(tmp_path)
+    assert obs_main(["diff", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "--spans" in err
+    assert obs_main(["diff", str(path), str(path), "--warn-only"]) == 2
+    capsys.readouterr()
+    assert obs_main(["diff", str(path), str(path), "--spans"]) == 0
+    assert "0 regression(s)" in capsys.readouterr().out
+
+
+def test_cli_diff_refuses_empty_stages_document(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"stages": {}}))
+    cur = _write_profile(tmp_path / "cur.json", a=2.0)
+    for pair in ([empty, cur], [cur, empty]):
+        assert obs_main(["diff", *map(str, pair)]) == 2
+        assert obs_main(["diff", *map(str, pair), "--warn-only"]) == 2
+        err = capsys.readouterr().err
+        assert str(empty) in err and "--spans" not in err

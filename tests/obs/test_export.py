@@ -1,4 +1,4 @@
-"""Trace export: chrome-trace and speedscope documents from span trees."""
+"""Trace export: the chrome-trace document from span trees."""
 
 from __future__ import annotations
 
@@ -6,28 +6,25 @@ import json
 
 import pytest
 
-from repro.obs import profiled_span, span, trace
+from repro.obs import span, trace
 from repro.obs.__main__ import main as obs_main
-from repro.obs.export import chrome_trace, export_trace, speedscope
+from repro.obs.export import chrome_trace, export_trace
 from repro.obs.report import load_trace
 
 
-def _traced_run(tmp_path, monkeypatch, profile=False):
-    if profile:
-        monkeypatch.setenv(trace.PROFILE_ENV, "1")
-        trace._refresh_gate()
+def _traced_run(tmp_path):
     path = tmp_path / "run.jsonl"
     trace.start_run("exptest", path=path)
     with span("outer", kind="root"):
-        with profiled_span("graph.stage", stage="inner"):
+        with span("graph.stage", stage="inner"):
             pass
         trace.event("progress", n=1)
     trace.end_run()
     return load_trace(path)
 
 
-def test_chrome_trace_complete_events(tmp_path, clean_trace_state, monkeypatch):
-    doc = chrome_trace(_traced_run(tmp_path, monkeypatch))
+def test_chrome_trace_complete_events(tmp_path, clean_trace_state):
+    doc = chrome_trace(_traced_run(tmp_path))
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert [e["name"] for e in spans] == ["outer", "graph.stage"]
     outer, inner = spans
@@ -35,62 +32,44 @@ def test_chrome_trace_complete_events(tmp_path, clean_trace_state, monkeypatch):
     assert outer["ts"] == 0.0
     assert inner["ts"] >= outer["ts"]
     assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"] + 1
-    assert outer["args"] == {"kind": "root"}
+    # Attributes and the span's resource sample ride in args.
+    assert outer["args"]["kind"] == "root"
+    assert set(outer["args"]) == {"kind", "prof"}
     instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
     assert [e["name"] for e in instants] == ["progress"]
 
 
-def test_chrome_trace_carries_prof_in_args(
-    tmp_path, clean_trace_state, monkeypatch
-):
-    doc = chrome_trace(_traced_run(tmp_path, monkeypatch, profile=True))
+def test_chrome_trace_carries_prof_in_args(tmp_path, clean_trace_state):
+    doc = chrome_trace(_traced_run(tmp_path))
     inner = next(
         e for e in doc["traceEvents"] if e["name"] == "graph.stage"
     )
     assert "cpu_user" in inner["args"]["prof"]
 
 
-def test_speedscope_events_nest_strictly(
-    tmp_path, clean_trace_state, monkeypatch
-):
-    doc = speedscope(_traced_run(tmp_path, monkeypatch))
-    assert doc["$schema"].startswith("https://www.speedscope.app/")
-    (profile,) = doc["profiles"]
-    assert profile["type"] == "evented"
-    depth = 0
-    for ev in profile["events"]:
-        depth += 1 if ev["type"] == "O" else -1
-        assert depth >= 0
-    assert depth == 0
-    names = [doc["shared"]["frames"][e["frame"]]["name"]
-             for e in profile["events"] if e["type"] == "O"]
-    assert names == ["outer", "graph.stage"]
-
-
-def test_export_trace_default_paths(tmp_path, clean_trace_state, monkeypatch):
-    data = _traced_run(tmp_path, monkeypatch)
-    out = export_trace(data, "chrome-trace")
+def test_export_trace_default_paths(tmp_path, clean_trace_state):
+    data = _traced_run(tmp_path)
+    out = export_trace(data)
     assert out == tmp_path / "run.chrome.json"
-    json.loads(out.read_text())
-    out2 = export_trace(data, "speedscope")
-    assert out2 == tmp_path / "run.speedscope.json"
-    json.loads(out2.read_text())
+    assert json.loads(out.read_text())["traceEvents"]
 
 
-def test_export_trace_rejects_unknown_format(
-    tmp_path, clean_trace_state, monkeypatch
-):
-    data = _traced_run(tmp_path, monkeypatch)
-    with pytest.raises(ValueError, match="unknown export format"):
-        export_trace(data, "pprof")
-
-
-def test_cli_export(tmp_path, clean_trace_state, monkeypatch, capsys):
-    _traced_run(tmp_path, monkeypatch)
+def test_cli_export(tmp_path, clean_trace_state, capsys):
+    _traced_run(tmp_path)
     out = tmp_path / "custom.json"
     assert obs_main(
-        ["export", str(tmp_path / "run.jsonl"), "--format", "chrome-trace",
-         "--out", str(out)]
+        ["export", str(tmp_path / "run.jsonl"), "--out", str(out)]
     ) == 0
     assert "wrote" in capsys.readouterr().out
     assert json.loads(out.read_text())["traceEvents"]
+    assert obs_main(["export", str(tmp_path / "run.jsonl")]) == 0
+    assert (tmp_path / "run.chrome.json").exists()
+
+
+def test_cli_export_has_no_format_flag(tmp_path, clean_trace_state, capsys):
+    _traced_run(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["export", str(tmp_path / "run.jsonl"),
+                  "--format", "chrome-trace"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err

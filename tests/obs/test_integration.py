@@ -3,7 +3,9 @@
 Runs ``python -m repro.experiments fig09 --fast`` in a subprocess with
 ``REPRO_TRACE=1`` and asserts the resulting JSONL trace parses, its span
 tree covers campaign generation, feature-store work, and pipeline
-fit/predict, and ``python -m repro.obs report`` summarises it.
+fit/predict, it is the run's profile (every span carries its resource
+sample, and the stages account for the root wall), and ``python -m
+repro.obs report`` summarises it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.profile import build_profile
 from repro.obs.report import latest_trace, load_trace, render_report, span_tree
 
 REPO = Path(__file__).resolve().parent.parent.parent
@@ -70,6 +73,31 @@ def test_span_tree_covers_campaign_features_and_pipeline(traced_fig09):
     # Everything hangs off the experiment span (workers re-rooted too).
     roots = [rec["name"] for depth, rec in span_tree(data.spans) if depth == 0]
     assert "experiment.fig09" in roots
+
+
+def test_every_span_carries_its_resource_sample(traced_fig09):
+    _, path = traced_fig09
+    # One file per run: the trace is the profile, nothing sits beside it.
+    assert list(path.parent.iterdir()) == [path]
+    spans = load_trace(path).spans
+    assert spans
+    for sp in spans:
+        prof = sp.get("prof", {})
+        assert {"cpu_user", "cpu_sys", "maxrss_kb", "gc_collections"} <= set(
+            prof
+        ), sp["name"]
+
+
+def test_plain_trace_profiles_every_stage(traced_fig09):
+    _, path = traced_fig09
+    prof = build_profile(load_trace(path))
+    stages = set(prof["stages"])
+    rfe = {key for key in stages if key.startswith("rfe:")}
+    assert len(rfe) == 6
+    assert stages == {"campaign", "render:fig09"} | rfe
+    # Stage walls are parent-level and cover the cold run end to end.
+    staged = sum(rec["wall"] for rec in prof["stages"].values())
+    assert staged >= 0.95 * prof["root"]["wall"]
 
 
 def test_worker_spans_joined_the_trace(traced_fig09):

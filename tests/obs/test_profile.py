@@ -1,30 +1,19 @@
-"""Resource profiler: sampling, aggregation, and the out-of-band rule."""
+"""Resource samples on spans, profile aggregation, and the out-of-band rule."""
 
 from __future__ import annotations
 
 import json
 
 from repro.graph import stage_fn
-from repro.obs import METRICS, profiled_span, span, trace
-from repro.obs.profile import (
-    build_profile,
-    profile_requested,
-    stage_key,
-    write_profile_json,
-)
+from repro.obs import METRICS, span, trace
+from repro.obs.profile import build_profile, stage_key
 from repro.obs.report import TraceData
 
 from tests.obs.conftest import read_records
 
 
-def _profile_on(monkeypatch):
-    monkeypatch.setenv(trace.PROFILE_ENV, "1")
-    trace._refresh_gate()
-
-
-def test_profiled_span_attaches_resource_deltas(trace_file, monkeypatch):
-    _profile_on(monkeypatch)
-    with profiled_span("graph.stage", stage="work"):
+def test_span_attaches_resource_deltas(trace_file):
+    with span("graph.stage", stage="work"):
         sum(i * i for i in range(100000))
     trace.end_run()
     recs = [r for r in read_records(trace_file) if r.get("t") == "span"]
@@ -35,62 +24,12 @@ def test_profiled_span_attaches_resource_deltas(trace_file, monkeypatch):
     assert prof["cpu_user"] >= 0.0
 
 
-def test_profiled_span_reports_cache_deltas(trace_file, monkeypatch):
-    _profile_on(monkeypatch)
-    with profiled_span("graph.stage", stage="cachy"):
+def test_span_reports_cache_deltas(trace_file):
+    with span("graph.stage", stage="cachy"):
         METRICS.counter("features.cache.misses").inc(2)
     trace.end_run()
     recs = [r for r in read_records(trace_file) if r.get("t") == "span"]
     assert recs[0]["prof"]["cache"]["features.cache.misses"] == 2
-
-
-def test_no_prof_field_without_profile_env(trace_file, monkeypatch):
-    monkeypatch.delenv(trace.PROFILE_ENV, raising=False)
-    assert not profile_requested()
-    with profiled_span("graph.stage", stage="plain"):
-        pass
-    trace.end_run()
-    recs = [r for r in read_records(trace_file) if r.get("t") == "span"]
-    # Same record schema as a plain span: profiling off adds nothing.
-    assert "prof" not in recs[0]
-
-
-def test_profiled_span_noop_when_tracing_off(clean_trace_state, monkeypatch):
-    monkeypatch.delenv(trace.PROFILE_ENV, raising=False)
-    trace._refresh_gate()
-    with profiled_span("anything") as sp:
-        assert sp is span("x")  # the shared no-op instance
-    assert trace.current_trace_path() is None
-
-
-def test_profile_env_implies_tracing(tmp_path, clean_trace_state, monkeypatch):
-    """REPRO_PROFILE=1 alone must open a sink: prof records need one."""
-    monkeypatch.setenv(trace.PROFILE_ENV, "1")
-    monkeypatch.setenv(trace.TRACE_DIR_ENV, str(tmp_path))
-    trace._refresh_gate()
-    assert trace.trace_requested()
-    with profiled_span("auto.profiled"):
-        pass
-    path = trace.current_trace_path()
-    assert path is not None
-    trace.end_run()
-    recs = [r for r in read_records(path) if r.get("t") == "span"]
-    assert recs and "prof" in recs[0]
-
-
-def test_end_run_writes_profile_json(tmp_path, clean_trace_state, monkeypatch):
-    monkeypatch.setenv(trace.PROFILE_ENV, "1")
-    trace._refresh_gate()
-    path = tmp_path / "run.jsonl"
-    trace.start_run("proftest", path=path)
-    with profiled_span("graph.stage", stage="alpha"):
-        pass
-    trace.end_run()
-    out = tmp_path / "run.profile.json"
-    assert out.exists()
-    prof = json.loads(out.read_text())
-    assert "alpha" in prof["stages"]
-    assert prof["stages"]["alpha"]["calls"] == 1
 
 
 def test_stage_key_qualifies_cell():
@@ -162,18 +101,6 @@ def test_build_profile_none_without_prof_records(tmp_path):
     assert build_profile(data) is None
 
 
-def test_write_profile_json_skips_unprofiled_trace(
-    tmp_path, clean_trace_state
-):
-    path = tmp_path / "t.jsonl"
-    trace.start_run("noprof", path=path)
-    with span("plain"):
-        pass
-    trace.end_run()
-    assert write_profile_json(path) is None
-    assert not (tmp_path / "t.profile.json").exists()
-
-
 @stage_fn(version=1)
 def _emit(ctx):
     return {"v": sorted(range(ctx.params["n"]))}
@@ -182,23 +109,29 @@ def _emit(ctx):
 def test_profiling_keeps_experiment_results_byte_identical(
     tmp_path, clean_trace_state, monkeypatch
 ):
-    """The out-of-band rule: prof data changes the trace, not results."""
+    """The out-of-band rule: tracing (and its resource samples) changes
+    the trace, not results."""
     from repro.graph import ArtifactStore, Graph, GraphRunner
 
     monkeypatch.setenv(trace.TRACE_DIR_ENV, str(tmp_path / "traces"))
 
-    def run_once(profile: bool):
-        if profile:
-            monkeypatch.setenv(trace.PROFILE_ENV, "1")
+    def run_once(traced: bool):
+        if traced:
+            monkeypatch.setenv(trace.TRACE_ENV, "1")
         else:
-            monkeypatch.delenv(trace.PROFILE_ENV, raising=False)
+            monkeypatch.delenv(trace.TRACE_ENV, raising=False)
         trace._refresh_gate()
         g = Graph()
         g.add("emit", _emit, params={"n": 64})
-        store = ArtifactStore(root=tmp_path / f"store-{profile}", enabled=True)
+        store = ArtifactStore(root=tmp_path / f"store-{traced}", enabled=True)
         runner = GraphRunner(g, store=store, campaign_fingerprint=None)
         out = runner.run(["emit"])
         trace.end_run()
         return json.dumps(out, sort_keys=True)
 
     assert run_once(False) == run_once(True)
+    # The traced run wrote one file, the trace, and sampled every span.
+    (path,) = (tmp_path / "traces").iterdir()
+    assert path.suffix == ".jsonl"
+    spans = [r for r in read_records(path) if r.get("t") == "span"]
+    assert spans and all("prof" in r for r in spans)

@@ -1,6 +1,6 @@
 """Cross-process profiling parity: workers=4 re-roots into one tree.
 
-Runs the same profiled fast-mode fig09 twice in subprocesses — serial
+Runs the same traced fast-mode fig09 twice in subprocesses — serial
 (``REPRO_WORKERS=1``) and parallel (``REPRO_WORKERS=4``) — with the
 artifact store off so every stage executes both times, a shared campaign
 cache so the datasets are generated once, and a separate trace per run.
@@ -31,7 +31,6 @@ def _run_fig09(workers: int, cache: Path, traces: Path):
     env.update(
         REPRO_FAST="1",
         REPRO_TRACE="1",
-        REPRO_PROFILE="1",
         REPRO_ARTIFACT_CACHE="0",
         REPRO_WORKERS=str(workers),
         REPRO_CACHE_DIR=str(cache),
@@ -51,7 +50,7 @@ def _run_fig09(workers: int, cache: Path, traces: Path):
     )
     assert proc.returncode == 0, proc.stderr
     path = latest_trace(traces)
-    assert path is not None, "profiled run produced no trace"
+    assert path is not None, "traced run produced no trace"
     return load_trace(path)
 
 
@@ -89,12 +88,6 @@ def test_stage_profiles_structurally_equal(serial_and_parallel):
     assert s == p, f"serial={s}\nparallel={p}"
 
 
-def test_profile_json_written_next_to_each_trace(serial_and_parallel):
-    for data in serial_and_parallel:
-        sidecar = data.path.parent / (data.path.stem + ".profile.json")
-        assert sidecar.exists(), f"missing {sidecar}"
-
-
 def test_worker_prof_records_present_in_parallel(serial_and_parallel):
     _, parallel = serial_and_parallel
     main_pid = parallel.manifest["pid"]
@@ -102,4 +95,4 @@ def test_worker_prof_records_present_in_parallel(serial_and_parallel):
         s for s in parallel.spans
         if s["pid"] != main_pid and s.get("prof")
     ]
-    assert worker_prof, "no profiled spans from worker processes"
+    assert worker_prof, "no resource-sampled spans from worker processes"

@@ -21,7 +21,7 @@ from repro.config import resolve_workers
 from repro.experiments.context import fast_requested
 from repro.graph.store import artifact_cache_enabled
 from repro.obs import env_flag
-from repro.obs.trace import profile_requested, trace_requested
+from repro.obs.trace import trace_requested
 from repro.parallel import effective_workers
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,7 +50,6 @@ def test_knob_table_matches_src():
 TOGGLES = [
     ("REPRO_FAST", fast_requested, False),
     ("REPRO_TRACE", trace_requested, False),
-    ("REPRO_PROFILE", profile_requested, False),
     ("REPRO_ARTIFACT_CACHE", artifact_cache_enabled, True),
 ]
 
@@ -100,6 +99,9 @@ BAD_VALUES = [
             ({"REPRO_TRACE": "maybe"}, "REPRO_TRACE"),
             ({"REPRO_LOG_LEVEL": "LOUD"}, "REPRO_LOG_LEVEL"),
             ({"REPRO_TRACE": "1", "REPRO_TRACE_MAX_MB": "abc"}, "REPRO_TRACE_MAX_MB"),
+            # A trace directory under a regular file cannot be created.
+            ({"REPRO_TRACE": "1", "REPRO_TRACE_DIR": str(Path(__file__) / "traces")},
+             "REPRO_TRACE_DIR"),
             ({"REPRO_WORKERS": "two"}, "REPRO_WORKERS"),
         ]
     ),
