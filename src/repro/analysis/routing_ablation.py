@@ -3,7 +3,7 @@
 The paper targets dragonflies "in spite of adaptive routing" (§I) and its
 related work compares routing policies on dragonflies (Faizian et al.,
 SC'17; De Sensi et al., SC'19).  This ablation quantifies the substrate's
-own behaviour: a probe job's slowdown under MINIMAL / VALIANT / ADAPTIVE
+own behaviour: a probe job's slowdown under adaptive / minimal / Valiant
 routing while an adversarial neighbour hammers one group pair — the
 pattern minimal routing handles worst.
 """
@@ -14,10 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.engine import CongestionEngine, RoutingPolicy
+from repro.network.engine import CongestionEngine
 from repro.network.traffic import FlowSet, router_alltoall_flows
 from repro.topology.dragonfly import DragonflyTopology
 from repro.topology.placement import AllocationPolicy, allocate
+
+#: Routing-policy registry names in table column order.
+_POLICIES = ("adaptive", "minimal", "valiant")
 
 
 @dataclass
@@ -81,7 +84,7 @@ def routing_ablation(
     for gbps in background_gbps:
         probe_s: dict[str, float] = {}
         adv_s: dict[str, float] = {}
-        for policy in RoutingPolicy:
+        for policy in _POLICIES:
             engine = CongestionEngine(topology, policy=policy)
             items = [engine.route(probe_flows)]
             bg = adversarial_background(
@@ -90,9 +93,9 @@ def routing_ablation(
             items.append(engine.route(bg))
             state = engine.solve(items)
             fabric, _ = state.metrics[0].volume_weighted(probe_flows.volume)
-            probe_s[policy.value] = fabric
+            probe_s[policy] = fabric
             adv_fabric, _ = state.metrics[1].volume_weighted(bg.volume)
-            adv_s[policy.value] = adv_fabric
+            adv_s[policy] = adv_fabric
         out.append(
             RoutingAblationResult(
                 background_gbps=gbps,
@@ -110,15 +113,15 @@ def render_ablation(results: list[RoutingAblationResult]) -> str:
     for r in results:
         rows.append(
             [f"{r.background_gbps:.0f} GB/s", "probe"]
-            + [f"{r.probe_slowdown[p.value]:.3f}" for p in RoutingPolicy]
+            + [f"{r.probe_slowdown[p]:.3f}" for p in _POLICIES]
             + [r.best_policy_for_probe()]
         )
         rows.append(
             ["", "adversary"]
-            + [f"{r.adversary_slowdown[p.value]:.3f}" for p in RoutingPolicy]
+            + [f"{r.adversary_slowdown[p]:.3f}" for p in _POLICIES]
             + [r.best_policy_for_adversary()]
         )
     return ascii_table(
-        ["background", "view"] + [p.value for p in RoutingPolicy] + ["best"],
+        ["background", "view"] + list(_POLICIES) + ["best"],
         rows,
     )

@@ -45,12 +45,11 @@ def _resolve_axis(parser: argparse.ArgumentParser, args) -> dict:
     """Validate the (topology, routing) flags into config overrides."""
     if args.topology is None and args.routing is None:
         return {}
-    from repro.campaign.validate import validate_axis
+    from repro.topology.registry import canonical_routing, canonical_topology
 
     try:
-        topo, routing = validate_axis(
-            args.topology or "dragonfly", args.routing or "ugal"
-        )
+        topo = canonical_topology(args.topology or "dragonfly")
+        routing = canonical_routing(args.routing or "ugal")
     except ValueError as exc:
         parser.error(str(exc))
     return {"topology": topo, "routing": routing}

@@ -148,9 +148,10 @@ class RunDataset:
 
     Streamed datasets additionally carry ``shard_views`` (the ordered
     per-window :class:`RunDataset` shards, each stamped with its own
-    window-campaign fingerprint) and ``shard_fingerprints`` — set by
-    :mod:`repro.campaign.streaming`, read by the shard-scoped graph
-    stages (:func:`repro.campaign.streaming.shard_view`).
+    window-campaign fingerprint) — set by :mod:`repro.campaign.streaming`,
+    read by the shard-scoped graph stages
+    (:func:`repro.campaign.streaming.shard_view`).  The stream manifest
+    (``campaign.stream``) names each shard.
     """
 
     key: str

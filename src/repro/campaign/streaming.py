@@ -174,7 +174,6 @@ def shard_view(ds: RunDataset, window: int) -> RunDataset:
 def _combine_shards(
     key: str,
     views: list[RunDataset],
-    window_fps: list[str],
     offsets: list[float],
     stream_fp: str,
 ) -> RunDataset:
@@ -193,9 +192,6 @@ def _combine_shards(
             )
     combined = RunDataset(key=key, runs=runs, campaign_fingerprint=stream_fp)
     combined.shard_views = list(views)
-    combined.shard_fingerprints = [
-        shard_fingerprint(fp, key) for fp in window_fps
-    ]
     return combined
 
 
@@ -232,7 +228,6 @@ def run_stream(config: StreamConfig, progress: bool = False) -> Campaign:
         camp = campaigns[0]
         for key, ds in camp.datasets.items():
             ds.shard_views = [ds]
-            ds.shard_fingerprints = [shard_fingerprint(window_fps[0], key)]
     else:
         # Keys present in every window combine into multi-shard datasets;
         # window-local extras (the window-0 long runs) ride along as
@@ -245,19 +240,13 @@ def run_stream(config: StreamConfig, progress: bool = False) -> Campaign:
         datasets: dict[str, RunDataset] = {}
         for key in common:
             datasets[key] = _combine_shards(
-                key,
-                [c[key] for c in campaigns],
-                window_fps,
-                offsets,
-                stream_fp,
+                key, [c[key] for c in campaigns], offsets, stream_fp
             )
         for w, c in enumerate(campaigns):
             for key, ds in c.datasets.items():
                 if key in datasets:
                     continue
-                lone = _combine_shards(
-                    key, [ds], [window_fps[w]], [offsets[w]], window_fps[w]
-                )
+                lone = _combine_shards(key, [ds], [offsets[w]], window_fps[w])
                 datasets[key] = lone
         aggressors: list[str] = []
         for c in campaigns:

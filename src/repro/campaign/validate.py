@@ -5,9 +5,6 @@ pipelines, an operator wants mechanical checks that the data is sane.
 ``validate_dataset`` codifies the invariants every analysis in this
 repository relies on; the campaign CLI and tests run it, and it is the
 first thing to run when a modified substrate produces surprising figures.
-``validate_axis`` front-loads the (topology, routing) resolution so a
-typo'd cell name fails with the registered options listed instead of a
-``KeyError`` deep in the engine.
 """
 
 from __future__ import annotations
@@ -18,19 +15,6 @@ import numpy as np
 
 from repro.campaign.datasets import LDMS_FEATURES, RunDataset
 from repro.network.counters import APP_COUNTERS
-
-
-def validate_axis(topology: str, routing: str) -> tuple[str, str]:
-    """Resolve a (topology, routing) cell, failing loudly on unknowns.
-
-    Returns the canonical pair.  Raises :class:`ValueError` naming the
-    offending axis value and listing every registered option (aliases
-    included) — the message the campaign CLI and config validation
-    surface to the user.
-    """
-    from repro.topology.registry import canonical_routing, canonical_topology
-
-    return canonical_topology(topology), canonical_routing(routing)
 
 
 @dataclass

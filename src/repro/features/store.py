@@ -17,7 +17,6 @@ campaign cache) and the stage outputs (the artifact store).
 from __future__ import annotations
 
 import weakref
-from time import perf_counter
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from repro.obs import METRICS, span
 #: caching them here is safe.
 _HITS = METRICS.counter("features.cache.hits")
 _MISSES = METRICS.counter("features.cache.misses")
-_BUILD_SECONDS = METRICS.histogram("features.build.seconds")
 
 #: Live stores, for :func:`clear_feature_caches`.
 _LIVE_STORES: "weakref.WeakSet[FeatureStore]" = weakref.WeakSet()
@@ -70,9 +68,7 @@ class FeatureStore:
             return entry
         _MISSES.inc()
         with span("features.build", token=token, dataset=self.ds.key):
-            t0 = perf_counter()
             entry = build()
-            _BUILD_SECONDS.observe(perf_counter() - t0)
         self._memo[token] = entry
         return entry
 

@@ -18,7 +18,6 @@ from repro.network.engine import (
     CongestionEngine,
     NetworkState,
     RoutedTraffic,
-    RoutingPolicy,
 )
 from repro.network.ldms import LDMSSampler
 from repro.network.traffic import FlowSet
@@ -28,7 +27,6 @@ __all__ = [
     "CongestionEngine",
     "NetworkState",
     "RoutedTraffic",
-    "RoutingPolicy",
     "LDMSSampler",
     "CounterSpec",
     "COUNTER_SPECS",

@@ -24,7 +24,6 @@ placement; per-timestep work is elementwise over the link vector
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,7 +38,7 @@ from repro.config import (
 from repro.network.traffic import FlowSet
 from repro.topology.base import Topology
 from repro.topology.registry import routing_spec
-from repro.topology.routing import FlowRouting, PathExpander
+from repro.topology.routing import FlowRouting, GroupRouter
 
 #: Fraction of stall-capable cycles actually observed as stalls at u -> 1
 #: (calibration constant for counter magnitudes, not behaviour).
@@ -52,27 +51,6 @@ SLOWDOWN_CAP = 6.0
 
 #: Curvature of the utilisation -> slowdown map.
 _SLOWDOWN_GAIN = 0.85
-
-
-class RoutingPolicy(enum.Enum):
-    """How flows split between minimal and Valiant path sets."""
-
-    #: Aries default: UGAL-style adaptive split (backpressure-driven).
-    ADAPTIVE = "adaptive"
-    #: Always minimal — fragile under adversarial group-pair traffic.
-    MINIMAL = "minimal"
-    #: Always Valiant — balanced but pays double the global hops.
-    VALIANT = "valiant"
-
-
-#: Legacy enum <-> registry routing-policy names (the registry's canonical
-#: vocabulary is the campaign axis; the enum remains for existing callers).
-_POLICY_TO_NAME = {
-    RoutingPolicy.ADAPTIVE: "ugal",
-    RoutingPolicy.MINIMAL: "minimal",
-    RoutingPolicy.VALIANT: "valiant",
-}
-_NAME_TO_POLICY = {name: pol for pol, name in _POLICY_TO_NAME.items()}
 
 
 def stall_curve(util: np.ndarray) -> np.ndarray:
@@ -236,11 +214,11 @@ class CongestionEngine:
     def __init__(
         self,
         topology: Topology,
-        router: PathExpander | None = None,
+        router: GroupRouter | None = None,
         alpha0: float = 0.85,
         ugal_gain: float = 4.0,
         iterations: int = 2,
-        policy: RoutingPolicy | str = RoutingPolicy.ADAPTIVE,
+        policy: str = "ugal",
     ) -> None:
         """
         Parameters
@@ -248,7 +226,7 @@ class CongestionEngine:
         topology:
             The network.
         router:
-            Path expander; defaults to the topology's own
+            Minimal/Valiant router; defaults to the topology's own
             (:meth:`~repro.topology.base.Topology.default_router`).
         alpha0:
             Initial minimal-routing fraction (UGAL biases minimal).
@@ -258,19 +236,15 @@ class CongestionEngine:
         iterations:
             Fixed-point iterations for the adaptive split.
         policy:
-            Routing policy: a registry name (``ugal``/``minimal``/
-            ``valiant`` or alias) or a legacy :class:`RoutingPolicy`
-            member.  Pinned policies fix the split and skip the adaptive
-            iterations.
+            Routing-policy registry name or alias (``ugal``/``adaptive``,
+            ``minimal``, ``valiant``); stored canonical in
+            :attr:`policy`.  Pinned policies fix the split and skip the
+            adaptive iterations.
         """
         self.topology = topology
         self.router = router or topology.default_router()
-        if isinstance(policy, str):
-            spec = routing_spec(policy)
-            policy = _NAME_TO_POLICY[spec.name]
-        self.policy = policy
-        self.policy_name = _POLICY_TO_NAME[policy]
-        spec = routing_spec(self.policy_name)
+        spec = routing_spec(policy)
+        self.policy = spec.name
         self.pinned = spec.pinned
         if spec.pinned:
             alpha0 = spec.pinned_alpha
@@ -309,7 +283,7 @@ class CongestionEngine:
             for it, alpha in zip(items, alphas):
                 loads += it.routing.link_loads(it.flows.volume, alpha, topo.num_links)
             util = loads / cap
-            if self.policy is not RoutingPolicy.ADAPTIVE:
+            if self.pinned:
                 break  # pinned split: nothing to iterate
             for i, it in enumerate(items):
                 r = it.routing

@@ -7,7 +7,7 @@ where the time goes.
 * :func:`span` — hierarchical timing spans, each recorded with its
   CPU/RSS/GC/cache resource sample (:mod:`repro.obs.spans`); near-zero
   cost unless ``REPRO_TRACE=1``;
-* :data:`METRICS` — the process-wide counter/histogram registry
+* :data:`METRICS` — the process-wide counter registry
   (:mod:`repro.obs.metrics`), always on (plain ints under a lock);
 * :mod:`repro.obs.trace` — per-invocation run manifest + JSONL sink
   (``REPRO_TRACE``, ``REPRO_TRACE_DIR``), joined transparently by
@@ -27,7 +27,7 @@ See ``docs/observability.md`` for the trace schema and workflows.
 
 from repro.obs.env import env_flag
 from repro.obs.log import configure_logging, get_logger
-from repro.obs.metrics import METRICS, Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import METRICS, Counter, MetricsRegistry
 from repro.obs.spans import current_span_id, remote_parent, span
 from repro.obs.trace import (
     annotate,
@@ -46,7 +46,6 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "Counter",
-    "Histogram",
     "start_run",
     "ensure_run",
     "end_run",

@@ -1,12 +1,12 @@
-"""Process-wide metrics registry: counters and histograms.
+"""Process-wide metrics registry: named counters.
 
-One registry (:data:`METRICS`) serves the whole process.  Instruments are
+One registry (:data:`METRICS`) serves the whole process.  Counters are
 created on first use and *persist across resets* — ``reset()`` zeroes
-values in place, so modules may cache instrument references at import
+values in place, so modules may cache counter references at import
 time (the feature store does) and tests can still start from a clean
 slate.
 
-Values are plain Python numbers guarded by a per-instrument lock, so
+Values are plain Python ints guarded by a per-counter lock, so
 concurrent threads can increment safely; worker *processes* have their
 own registries (their final values travel through the trace sink, see
 :mod:`repro.obs.trace`).
@@ -14,7 +14,6 @@ own registries (their final values travel through the trace sink, see
 
 from __future__ import annotations
 
-import math
 import threading
 
 
@@ -44,94 +43,32 @@ class Counter:
         return self._value
 
 
-class Histogram:
-    """Streaming summary of observed values: count/sum/min/max/mean."""
-
-    __slots__ = ("name", "_lock", "count", "total", "min", "max")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._lock = threading.Lock()
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, v: float) -> None:
-        v = float(v)
-        with self._lock:
-            self.count += 1
-            self.total += v
-            if v < self.min:
-                self.min = v
-            if v > self.max:
-                self.max = v
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def _reset(self) -> None:
-        with self._lock:
-            self.count = 0
-            self.total = 0.0
-            self.min = math.inf
-            self.max = -math.inf
-
-    def _snapshot(self) -> dict[str, float]:
-        if not self.count:
-            return {"count": 0, "total": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
-    """Named instruments, created on first use, reset in place."""
+    """Named counters, created on first use, reset in place."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._instruments: dict[str, Counter | Histogram] = {}
+        self._instruments: dict[str, Counter] = {}
 
-    def _get(self, name: str, cls):
+    def counter(self, name: str) -> Counter:
         inst = self._instruments.get(name)
         if inst is None:
             with self._lock:
-                inst = self._instruments.setdefault(name, cls(name))
-        if not isinstance(inst, cls):
-            raise TypeError(
-                f"metric {name!r} is a {type(inst).__name__}, "
-                f"requested as {cls.__name__}"
-            )
+                inst = self._instruments.setdefault(name, Counter(name))
         return inst
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
     def reset(self) -> None:
-        """Zero every instrument in place (references stay valid)."""
+        """Zero every counter in place (references stay valid)."""
         with self._lock:
             for inst in self._instruments.values():
                 inst._reset()
 
-    def snapshot(self) -> dict[str, object]:
-        """JSON-serialisable view of every non-trivial instrument value."""
+    def snapshot(self) -> dict[str, int]:
+        """JSON-serialisable view of every non-zero counter value."""
         with self._lock:
             items = list(self._instruments.items())
-        out: dict[str, object] = {}
-        for name, inst in items:
-            v = inst._snapshot()
-            if v == 0 or (isinstance(v, dict) and not v.get("count")):
-                continue  # uninteresting zeros keep traces compact
-            out[name] = v
-        return out
+        # Skipping uninteresting zeros keeps traces compact.
+        return {name: v for name, inst in items if (v := inst._snapshot())}
 
 
 #: The process-wide registry.  Worker processes get their own copy; its

@@ -31,22 +31,12 @@ class TraceData:
     metrics: list[dict] = field(default_factory=list)
     truncated: list[dict] = field(default_factory=list)
 
-    def merged_metrics(self) -> dict[str, object]:
-        """Metric values summed across all processes' final snapshots."""
-        out: dict[str, object] = {}
+    def merged_metrics(self) -> dict[str, int]:
+        """Counter values summed across all processes' final snapshots."""
+        out: dict[str, int] = {}
         for rec in self.metrics:
             for name, val in rec.get("values", {}).items():
-                if isinstance(val, dict):
-                    agg = out.setdefault(name, {})
-                    for k, v in val.items():
-                        if k == "min":
-                            agg[k] = min(agg.get(k, v), v)
-                        elif k == "max":
-                            agg[k] = max(agg.get(k, v), v)
-                        elif k != "mean":
-                            agg[k] = agg.get(k, 0) + v
-                else:
-                    out[name] = out.get(name, 0) + val
+                out[name] = out.get(name, 0) + val
         return out
 
 
@@ -197,12 +187,17 @@ def critical_paths(data: TraceData) -> list[dict]:
     * zero otherwise.
 
     Returns one record per plan with the dominant chain, its wall, the
-    executed-vs-hit split, and the matching ``graph.run`` root wall —
-    empty when the trace predates the plan event.
+    executed-vs-hit split, and the root wall the chain is a share of —
+    empty when the trace predates the plan event.  The root is the span
+    enclosing ``graph.run`` (``experiment.<id>``, ``experiments.run``,
+    ...), because a cold run executes the ``campaign`` stage while it
+    builds the graph, before ``graph.run`` opens; a parentless
+    ``graph.run`` is its own root.
     """
+    by_id = {sp["id"]: sp for sp in data.spans}
     # Executed-stage walls, keyed by (cell, stage name).
     walls: dict[tuple[str | None, str], float] = {}
-    roots: dict[str | None, float] = {}
+    roots: dict[str | None, dict] = {}
     for sp in data.spans:
         attrs = sp.get("attrs", {})
         if sp["name"] == "graph.stage" and attrs.get("stage"):
@@ -210,7 +205,9 @@ def critical_paths(data: TraceData) -> list[dict]:
             walls[key] = walls.get(key, 0.0) + sp.get("dur", 0.0)
         elif sp["name"] == "graph.run":
             cell = attrs.get("cell")
-            roots[cell] = max(roots.get(cell, 0.0), sp.get("dur", 0.0))
+            root = by_id.get(sp.get("parent"), sp)
+            if root.get("dur", 0.0) >= roots.get(cell, {}).get("dur", 0.0):
+                roots[cell] = root
 
     out: list[dict] = []
     for ev in data.events:
@@ -271,7 +268,8 @@ def critical_paths(data: TraceData) -> list[dict]:
                 "chain_wall": round(best[end], 6),
                 "executed_wall": round(executed, 6),
                 "hit_wall": round(hits, 6),
-                "root_wall": round(roots.get(cell, 0.0), 6),
+                "root_wall": round(roots.get(cell, {}).get("dur", 0.0), 6),
+                "root_span": roots.get(cell, {}).get("name"),
             }
         )
     return out
@@ -295,7 +293,7 @@ def render_critical_path(data: TraceData) -> str:
         if p["root_wall"]:
             share = 100.0 * p["chain_wall"] / p["root_wall"]
             lines.append(
-                f"  graph.run wall {p['root_wall']:.3f}s "
+                f"  {p['root_span']} wall {p['root_wall']:.3f}s "
                 f"({share:.0f}% on the chain); "
                 f"executed stages {p['executed_wall']:.3f}s, "
                 f"artifact hits {p['hit_wall']:.3f}s"

@@ -17,8 +17,11 @@ Public API
     The Cray XC dragonfly: routers, nodes, canonically indexed links.
 :class:`~repro.topology.dragonfly_plus.DragonflyPlusTopology`
     Dragonfly+: two-level fat groups with a leaf/spine split.
-:class:`~repro.topology.routing.AdaptiveRouter`
-    UGAL-style adaptive routing producing per-flow link incidences.
+:class:`~repro.topology.routing.GroupRouter`
+    Minimal + Valiant path expansion producing per-flow link incidences;
+    :class:`~repro.topology.routing.AdaptiveRouter` (dragonfly) and
+    :class:`~repro.topology.dragonfly_plus.DragonflyPlusRouter` supply
+    the geometry.
 :mod:`~repro.topology.registry`
     Name -> implementation resolution for the campaign axis.
 :mod:`~repro.topology.placement`
@@ -48,12 +51,10 @@ from repro.topology.registry import (
     build_topology,
     canonical_routing,
     canonical_topology,
-    cell_id,
     parse_cell,
-    resolve_cell,
     routing_spec,
 )
-from repro.topology.routing import AdaptiveRouter, FlowRouting, PathExpander
+from repro.topology.routing import AdaptiveRouter, FlowRouting, GroupRouter
 
 __all__ = [
     "Topology",
@@ -64,7 +65,7 @@ __all__ = [
     "PlusLinkKind",
     "AdaptiveRouter",
     "FlowRouting",
-    "PathExpander",
+    "GroupRouter",
     "TOPOLOGIES",
     "ROUTING_POLICIES",
     "RoutingSpec",
@@ -75,9 +76,7 @@ __all__ = [
     "canonical_topology",
     "canonical_routing",
     "routing_spec",
-    "resolve_cell",
     "parse_cell",
-    "cell_id",
     "AllocationPolicy",
     "placement_features",
     "num_routers_feature",

@@ -10,8 +10,8 @@ compute/I-O node pools.  A topology implementation supplies
   :attr:`link_endpoints`) over its own canonical link-id scheme;
 * the node ↔ router mapping (:meth:`node_router`, :meth:`router_nodes`)
   and the I/O pool roots (:attr:`io_routers`);
-* a :meth:`default_router` building the path expander that turns flows
-  into weighted link incidences for this geometry.
+* a :meth:`default_router` building the router that turns flows into
+  weighted link incidences for this geometry.
 
 Group-major router numbering is part of the contract: router ids within
 group *g* occupy ``[g * routers_per_group, (g+1) * routers_per_group)``
@@ -33,6 +33,7 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import ScalePreset
+    from repro.topology.routing import GroupRouter
 
 
 @dataclass(frozen=True)
@@ -81,9 +82,9 @@ class Topology(abc.ABC):
         """Build this geometry from a :class:`~repro.config.ScalePreset`."""
 
     @abc.abstractmethod
-    def default_router(self, **kwargs) -> object:
-        """The path expander for this geometry (see
-        :class:`repro.topology.routing.PathExpander`)."""
+    def default_router(self, **kwargs) -> GroupRouter:
+        """The minimal/Valiant router for this geometry (a
+        :class:`repro.topology.routing.GroupRouter` subclass)."""
 
     @abc.abstractmethod
     def describe(self) -> str:

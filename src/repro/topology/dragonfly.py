@@ -149,7 +149,7 @@ class DragonflyTopology(Topology):
         )
 
     def default_router(self, **kwargs):
-        """The UGAL-style minimal/Valiant path expander for this geometry."""
+        """The UGAL-style minimal/Valiant router for this geometry."""
         from repro.topology.routing import AdaptiveRouter
 
         return AdaptiveRouter(self, **kwargs)

@@ -34,7 +34,7 @@ from repro.config import (
     get_preset,
 )
 from repro.topology.base import Topology
-from repro.topology.routing import FlowRouting, Incidence, _IncidenceBuilder
+from repro.topology.routing import GroupRouter
 
 
 class PlusLinkKind(enum.IntEnum):
@@ -152,7 +152,7 @@ class DragonflyPlusTopology(Topology):
         )
 
     def default_router(self, **kwargs):
-        """The minimal/Valiant path expander for this geometry."""
+        """The minimal/Valiant router for this geometry."""
         return DragonflyPlusRouter(self, **kwargs)
 
     # ------------------------------------------------------------------ #
@@ -322,10 +322,13 @@ class DragonflyPlusTopology(Topology):
         )
 
 
-class DragonflyPlusRouter:
-    """Expands router-level flows into minimal + Valiant link incidences
-    over a Dragonfly+ (same surface as
-    :class:`repro.topology.routing.AdaptiveRouter`)."""
+class DragonflyPlusRouter(GroupRouter):
+    """Minimal + Valiant expansion over a Dragonfly+'s up/down/global
+    links, with a fast path for flow sets whose endpoints are all leaves."""
+
+    # Defined in the class body (not only inherited) so that per-class
+    # patching through ``vars(DragonflyPlusRouter)`` finds it.
+    route = GroupRouter.route
 
     def __init__(
         self,
@@ -347,52 +350,13 @@ class DragonflyPlusRouter:
         valiant_samples:
             Intermediate groups sampled per flow for the non-minimal set.
         """
-        self.topology = topology
+        super().__init__(topology, global_channels, valiant_samples)
         self.spine_channels = min(spine_channels, topology.spine_size)
-        self.global_channels = min(global_channels, topology.global_multiplicity)
-        self.valiant_samples = valiant_samples
 
-    # ------------------------------------------------------------------ #
-
-    def route(
-        self,
-        src_router: np.ndarray,
-        dst_router: np.ndarray,
-        rng: np.random.Generator | None = None,
-        flow_ids: np.ndarray | None = None,
-    ) -> FlowRouting:
-        """Route flows from ``src_router[i]`` to ``dst_router[i]``.
-
-        Semantics match :meth:`AdaptiveRouter.route`: the result carries a
-        minimal and a Valiant incidence; ``rng`` only affects Valiant
-        sampling (default: deterministic stride-based sampling).
-        ``flow_ids`` overrides the flow indices used for deterministic
-        channel striping (default ``arange(n)``): a caller routing several
-        concatenated flow sets in one call passes each set's own 0-based
-        indices so every flow gets the exact links a solo call would pick.
-        """
-        src = np.asarray(src_router, dtype=np.int64)
-        dst = np.asarray(dst_router, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("src_router and dst_router must have equal length")
-        n = len(src)
+    def _expand(
+        self, minimal, valiant, src, dst, sg, dg, same_group, inter, rng, fid
+    ) -> None:
         topo = self.topology
-        fid = (
-            np.arange(n, dtype=np.int64)
-            if flow_ids is None
-            else np.asarray(flow_ids, dtype=np.int64)
-        )
-
-        local_mask = src == dst
-
-        minimal = _IncidenceBuilder()
-        valiant = _IncidenceBuilder()
-
-        sg = src // topo.routers_per_group
-        dg = dst // topo.routers_per_group
-        same_group = (sg == dg) & ~local_mask
-        inter = ~same_group & ~local_mask
-
         ls = src % topo.routers_per_group
         ld = dst % topo.routers_per_group
         if bool((ls < topo.leaf_size).all()) and bool(
@@ -401,86 +365,15 @@ class DragonflyPlusRouter:
             # Nodes only attach to leaves, so every flow set built from
             # node placements lands here; each segment then has a single
             # statically-known leaf/spine case and the general per-case
-            # masking in _intra_segment is pure overhead.  The expansion
-            # below emits the exact same (flow, link, share) triplets in
-            # the exact same order as the general path.
+            # masking in _intra_segment is pure overhead.
             self._route_all_leaf(
                 minimal, valiant, sg, dg, ls, ld, src, dst,
                 same_group, inter, rng, fid,
             )
         else:
-            self._route_general(
-                minimal, valiant, sg, dg, src, dst, same_group, inter, rng, fid
+            super()._expand(
+                minimal, valiant, src, dst, sg, dg, same_group, inter, rng, fid
             )
-
-        mf, ml, ms = minimal.build()
-        vf, vl, vs = valiant.build()
-        return FlowRouting(
-            n_flows=n,
-            minimal=Incidence(mf, ml, ms),
-            valiant=Incidence(vf, vl, vs),
-            local_mask=local_mask,
-        )
-
-    def _route_general(
-        self, minimal, valiant, sg, dg, src, dst, same_group, inter, rng, fid
-    ) -> None:
-        """Reference expansion over the per-case segment helpers."""
-        topo = self.topology
-
-        # ---- minimal, intra-group ------------------------------------- #
-        idx = np.flatnonzero(same_group)
-        if len(idx):
-            self._intra_segment(
-                minimal, idx, sg[idx], src[idx], dst[idx], np.ones(len(idx))
-            )
-
-        # ---- minimal, inter-group ------------------------------------- #
-        idx = np.flatnonzero(inter)
-        if len(idx):
-            f = fid[idx]
-            share = np.full(len(idx), 1.0 / self.global_channels)
-            for t in range(self.global_channels):
-                chan = (f + t) % topo.global_multiplicity
-                self._global_hop(
-                    minimal, idx, src[idx], dst[idx], sg[idx], dg[idx], chan, share
-                )
-
-        # ---- Valiant, intra-group (via an intermediate leaf) ----------- #
-        idx = np.flatnonzero(same_group)
-        if len(idx):
-            mids = self._sample_intra_mid(src[idx], dst[idx], sg[idx], rng)
-            share = np.full(len(idx), 1.0)
-            self._intra_segment(valiant, idx, sg[idx], src[idx], mids, share)
-            self._intra_segment(valiant, idx, sg[idx], mids, dst[idx], share)
-
-        # ---- Valiant, inter-group (via intermediate groups) ------------ #
-        idx = np.flatnonzero(inter)
-        if len(idx) and topo.groups <= 2:
-            # No third group exists; the Valiant set degenerates to the
-            # minimal route.
-            f = fid[idx]
-            share = np.full(len(idx), 1.0 / self.global_channels)
-            for t in range(self.global_channels):
-                chan = (f + t) % topo.global_multiplicity
-                self._global_hop(
-                    valiant, idx, src[idx], dst[idx], sg[idx], dg[idx], chan, share
-                )
-        elif len(idx):
-            f = fid[idx]
-            k = self.valiant_samples
-            share = np.full(len(idx), 1.0 / k)
-            for s in range(k):
-                inter_g = self._sample_intermediate_group(sg[idx], dg[idx], s, rng)
-                chan = (f + s) % topo.global_multiplicity
-                gw_in = topo.global_gateway(inter_g, sg[idx], chan)
-                self._global_hop(
-                    valiant, idx, src[idx], gw_in, sg[idx], inter_g, chan, share
-                )
-                chan2 = (f + s + 1) % topo.global_multiplicity
-                self._global_hop(
-                    valiant, idx, gw_in, dst[idx], inter_g, dg[idx], chan2, share
-                )
 
     def _route_all_leaf(
         self, minimal, valiant, sg, dg, ls, ld, src, dst, same_group, inter,
@@ -488,8 +381,9 @@ class DragonflyPlusRouter:
     ) -> None:
         """Specialised expansion for flow sets with only leaf endpoints.
 
-        Emits bit-identical triplets to :meth:`_route_general` (same link
-        ids, same shares, same entry order — entry order matters because
+        Emits bit-identical triplets to the general
+        :meth:`~repro.topology.routing.GroupRouter._expand` (same link ids,
+        same shares, same entry order — entry order matters because
         ``Incidence.link_loads`` accumulates per-bin sums in entry order).
         Each general-path segment resolves to one fixed case here:
 
@@ -621,12 +515,7 @@ class DragonflyPlusRouter:
         leaf_leaf = a_leaf & b_leaf & ~same
         if leaf_leaf.any():
             m = leaf_leaf
-            g, fi = group[m], flow_idx[m]
-            sh = share[m] / self.spine_channels
-            for c in range(self.spine_channels):
-                spine = (la[m] + lb[m] + c) % topo.spine_size
-                out.add(fi, topo.up_link(g, la[m], spine), sh)
-                out.add(fi, topo.down_link(g, spine, lb[m]), sh)
+            self._leaf_leaf(out, flow_idx[m], group[m], la[m], lb[m], share[m])
 
         leaf_spine = a_leaf & ~b_leaf
         if leaf_spine.any():
@@ -654,15 +543,6 @@ class DragonflyPlusRouter:
             out.add(fi, topo.down_link(g, la[m] - topo.leaf_size, mid), sh)
             out.add(fi, topo.up_link(g, mid, lb[m] - topo.leaf_size), sh)
 
-    def _global_hop(self, out, flow_idx, src, dst, sg, dg, chan, share) -> None:
-        """Add links for src -> (gateway spine) -> global -> (gateway) -> dst."""
-        topo = self.topology
-        gw_out = topo.global_gateway(sg, dg, chan)
-        gw_in = topo.global_gateway(dg, sg, chan)
-        self._intra_segment(out, flow_idx, sg, src, gw_out, share)
-        out.add(flow_idx, topo.global_link(sg, dg, chan), share)
-        self._intra_segment(out, flow_idx, dg, gw_in, dst, share)
-
     def _sample_intra_mid(self, src, dst, group, rng) -> np.ndarray:
         """Intermediate leaf within the group (Valiant leg)."""
         topo = self.topology
@@ -677,16 +557,8 @@ class DragonflyPlusRouter:
             offs = rng.integers(1, topo.leaf_size, size=n)
         return topo.leaf_id(group, (la + offs) % topo.leaf_size)
 
-    def _sample_intermediate_group(self, sg, dg, salt: int, rng) -> np.ndarray:
-        """Random intermediate group distinct from both endpoints."""
-        topo = self.topology
-        n = len(sg)
-        if rng is None:
-            raw = (sg * 31 + dg * 17 + salt * 101 + 13) % topo.groups
-        else:
-            raw = rng.integers(0, topo.groups, size=n)
-        clash = (raw == sg) | (raw == dg)
-        while clash.any():
-            raw = np.where(clash, (raw + 1) % topo.groups, raw)
-            clash = (raw == sg) | (raw == dg)
-        return raw
+    def _gateway(self, src_group, dst_group, chan) -> np.ndarray:
+        return self.topology.global_gateway(src_group, dst_group, chan)
+
+    def _global_link(self, src_group, dst_group, chan) -> np.ndarray:
+        return self.topology.global_link(src_group, dst_group, chan)

@@ -3,15 +3,17 @@
 Topologies register a :class:`~repro.topology.base.Topology` subclass
 under a canonical name (plus aliases); routing policies register a
 :class:`RoutingSpec` describing how the congestion engine should treat
-the two path sets every :class:`~repro.topology.routing.PathExpander`
-produces.  Campaign configs, experiment cell ids (``fig09:df+/valiant``)
-and the validators all resolve names through this module, so unknown
+the two path sets every :class:`~repro.topology.routing.GroupRouter`
+produces.  Campaign configs, experiment cell ids (``fig09:df+/valiant``),
+the campaign CLI's ``--topology``/``--routing`` flags and the congestion
+engine's ``policy`` all resolve names through this module, so unknown
 names fail early with the registered options listed instead of raising a
 ``KeyError`` deep inside the engine.
 
 Adding a topology: subclass ``Topology``, implement its abstract surface
-(including :meth:`default_router` returning a ``PathExpander``), and add
-it to :data:`TOPOLOGIES` with any aliases.  Adding a routing policy:
+(including :meth:`default_router` returning a ``GroupRouter`` subclass
+that supplies the geometry), and add it to :data:`TOPOLOGIES` with any
+aliases.  Adding a routing policy:
 append a :class:`RoutingSpec` to :data:`ROUTING_POLICIES` — ``pinned_alpha
 = None`` means the engine solves the UGAL fixed point; a float pins the
 minimal/Valiant split and skips the adaptive iterations entirely.
@@ -147,15 +149,6 @@ def build_topology(
     return cls.from_preset(preset)
 
 
-def resolve_cell(
-    topology: str | None = None, routing: str | None = None
-) -> tuple[str, str]:
-    """Canonical ``(topology, routing)`` pair, defaulting missing parts."""
-    topo = canonical_topology(topology) if topology else DEFAULT_TOPOLOGY
-    policy = canonical_routing(routing) if routing else DEFAULT_ROUTING
-    return topo, policy
-
-
 def parse_cell(text: str) -> tuple[str, str]:
     """Parse a ``topology/routing`` cell id (e.g. ``df+/valiant``)."""
     topo, sep, policy = str(text).partition("/")
@@ -166,7 +159,3 @@ def parse_cell(text: str) -> tuple[str, str]:
         )
     return canonical_topology(topo), canonical_routing(policy)
 
-
-def cell_id(topology: str, routing: str) -> str:
-    """Render a canonical cell id string (``dragonfly/ugal``)."""
-    return f"{canonical_topology(topology)}/{canonical_routing(routing)}"

@@ -1,4 +1,4 @@
-"""UGAL-style adaptive routing over the dragonfly, fully vectorised.
+"""UGAL-style adaptive routing over grouped topologies, fully vectorised.
 
 The Aries network routes each packet either *minimally* (src group ->
 destination group directly over a blue link) or *non-minimally* (Valiant:
@@ -14,17 +14,19 @@ we reproduce the mechanism at flow granularity:
 
 Path expansion uses only arithmetic on router coordinates plus the
 topology's canonical link ids, so routing ``n`` flows costs a handful of
-NumPy operations regardless of ``n``.
+NumPy operations regardless of ``n``.  :class:`GroupRouter` holds the
+expansion; :class:`AdaptiveRouter` (the dragonfly) and
+:class:`~repro.topology.dragonfly_plus.DragonflyPlusRouter` supply only
+their geometry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.topology.dragonfly import DragonflyTopology
+from repro.topology.base import Topology
 
 
 class _IncidenceBuilder:
@@ -115,54 +117,43 @@ class FlowRouting:
         return loads
 
 
-@runtime_checkable
-class PathExpander(Protocol):
-    """Flow -> weighted link-incidence expansion for one geometry.
+class GroupRouter:
+    """Flow -> minimal + Valiant link-incidence expansion over grouped routers.
 
-    A path expander owns the *geometry* of routing: it turns router-level
+    A group router owns the *geometry* of routing: it turns router-level
     flows into a :class:`FlowRouting` holding a minimal and a Valiant
     (non-minimal) :class:`Incidence`.  The *policy* — how much of each
     flow travels each set — lives in the congestion engine: pinned
     policies (``minimal``, ``valiant``) fix the split, while ``ugal``
-    solves the adaptive fixed point.  Topologies return their expander
+    solves the adaptive fixed point.  Topologies return their router
     from :meth:`repro.topology.base.Topology.default_router`.
+
+    The expansion is the same on every geometry whose groups are joined
+    all-to-all by parallel global links; a subclass supplies only the
+    geometry: :meth:`_intra_segment`, :meth:`_sample_intra_mid`,
+    :meth:`_gateway` and :meth:`_global_link`.
     """
-
-    topology: object
-
-    def route(
-        self,
-        src_router: np.ndarray,
-        dst_router: np.ndarray,
-        rng: np.random.Generator | None = None,
-    ) -> FlowRouting:
-        """Route flows from ``src_router[i]`` to ``dst_router[i]``."""
-        ...
-
-
-class AdaptiveRouter:
-    """Expands router-level flows into minimal + Valiant link incidences."""
 
     def __init__(
         self,
-        topology: DragonflyTopology,
-        blue_channels: int = 2,
+        topology: Topology,
+        global_channels: int = 2,
         valiant_samples: int = 2,
     ) -> None:
         """
         Parameters
         ----------
         topology:
-            The dragonfly to route over.
-        blue_channels:
-            Parallel blue links used per (flow, group-pair); traffic is
+            The network to route over.
+        global_channels:
+            Parallel global links used per (flow, group-pair); traffic is
             spread evenly over them (Aries stripes packets over parallel
             optical links).
         valiant_samples:
             Intermediate groups sampled per flow for the non-minimal set.
         """
         self.topology = topology
-        self.blue_channels = min(blue_channels, topology.global_multiplicity)
+        self.global_channels = min(global_channels, topology.global_multiplicity)
         self.valiant_samples = valiant_samples
 
     # ------------------------------------------------------------------ #
@@ -177,8 +168,8 @@ class AdaptiveRouter:
         """Route flows from ``src_router[i]`` to ``dst_router[i]``.
 
         Returns a :class:`FlowRouting` with both path sets.  ``rng`` only
-        affects Valiant intermediate-group sampling; pass a seeded
-        generator for reproducibility (default: deterministic stride-based
+        affects Valiant intermediate sampling; pass a seeded generator
+        for reproducibility (default: deterministic stride-based
         sampling).  ``flow_ids`` overrides the flow indices used for
         deterministic channel striping (default ``arange(n)``): a caller
         routing several concatenated flow sets in one call passes each
@@ -190,7 +181,7 @@ class AdaptiveRouter:
         if src.shape != dst.shape:
             raise ValueError("src_router and dst_router must have equal length")
         n = len(src)
-        topo = self.topology
+        rpg = self.topology.routers_per_group
         fid = (
             np.arange(n, dtype=np.int64)
             if flow_ids is None
@@ -198,77 +189,14 @@ class AdaptiveRouter:
         )
 
         local_mask = src == dst
-
-        minimal = _IncidenceBuilder()
-        valiant = _IncidenceBuilder()
-
-        sg = src // topo.routers_per_group
-        dg = dst // topo.routers_per_group
+        sg = src // rpg
+        dg = dst // rpg
         same_group = (sg == dg) & ~local_mask
         inter = ~same_group & ~local_mask
 
-        # ---- minimal, intra-group ------------------------------------- #
-        idx = np.flatnonzero(same_group)
-        if len(idx):
-            self._intra_segment(
-                minimal,
-                idx,
-                sg[idx],
-                src[idx],
-                dst[idx],
-                np.ones(len(idx)),
-            )
-
-        # ---- minimal, inter-group ------------------------------------- #
-        idx = np.flatnonzero(inter)
-        if len(idx):
-            f = fid[idx]
-            share = np.full(len(idx), 1.0 / self.blue_channels)
-            for t in range(self.blue_channels):
-                chan = (f + t) % topo.global_multiplicity
-                self._global_hop(
-                    minimal, idx, src[idx], dst[idx], sg[idx], dg[idx], chan, share
-                )
-
-        # ---- Valiant, intra-group (via random router in group) --------- #
-        idx = np.flatnonzero(same_group)
-        if len(idx):
-            mids = self._sample_intra_mid(src[idx], dst[idx], sg[idx], rng)
-            # The flow crosses both legs in full, so each leg gets share 1.
-            share = np.full(len(idx), 1.0)
-            self._intra_segment(valiant, idx, sg[idx], src[idx], mids, share)
-            self._intra_segment(valiant, idx, sg[idx], mids, dst[idx], share)
-
-        # ---- Valiant, inter-group (via intermediate groups) ------------ #
-        idx = np.flatnonzero(inter)
-        if len(idx) and topo.groups <= 2:
-            # No third group exists; the Valiant set degenerates to the
-            # minimal route (keeps tiny test topologies from looping).
-            f = fid[idx]
-            share = np.full(len(idx), 1.0 / self.blue_channels)
-            for t in range(self.blue_channels):
-                chan = (f + t) % topo.global_multiplicity
-                self._global_hop(
-                    valiant, idx, src[idx], dst[idx], sg[idx], dg[idx], chan, share
-                )
-        elif len(idx):
-            f = fid[idx]
-            k = self.valiant_samples
-            share = np.full(len(idx), 1.0 / k)
-            for s in range(k):
-                inter_g = self._sample_intermediate_group(sg[idx], dg[idx], s, rng)
-                chan = (f + s) % topo.global_multiplicity
-                # Leg 1: src -> intermediate group (to its gateway towards dg
-                # is irrelevant; traffic lands on the gateway from sg).
-                gw_in = topo.blue_gateway(inter_g, sg[idx], chan)
-                self._global_hop(
-                    valiant, idx, src[idx], gw_in, sg[idx], inter_g, chan, share
-                )
-                # Leg 2: intermediate group -> destination group.
-                chan2 = (f + s + 1) % topo.global_multiplicity
-                self._global_hop(
-                    valiant, idx, gw_in, dst[idx], inter_g, dg[idx], chan2, share
-                )
+        minimal = _IncidenceBuilder()
+        valiant = _IncidenceBuilder()
+        self._expand(minimal, valiant, src, dst, sg, dg, same_group, inter, rng, fid)
 
         mf, ml, ms = minimal.build()
         vf, vl, vs = valiant.build()
@@ -279,9 +207,112 @@ class AdaptiveRouter:
             local_mask=local_mask,
         )
 
+    def _expand(
+        self, minimal, valiant, src, dst, sg, dg, same_group, inter, rng, fid
+    ) -> None:
+        """Add every flow's minimal and Valiant links, in a fixed order.
+
+        Each builder receives its intra-group entries before its
+        inter-group ones, and ``rng`` is drawn for the intra-group mids
+        before the intermediate groups.  Entry order matters because
+        ``Incidence.link_loads`` accumulates per-bin sums in entry order.
+        """
+        topo = self.topology
+
+        # ---- intra-group ---------------------------------------------- #
+        idx = np.flatnonzero(same_group)
+        if len(idx):
+            g, a, b = sg[idx], src[idx], dst[idx]
+            self._intra_segment(minimal, idx, g, a, b, np.ones(len(idx)))
+            # Valiant: via an intermediate router of the group; the flow
+            # crosses both legs in full, so each leg gets share 1.
+            mids = self._sample_intra_mid(a, b, g, rng)
+            share = np.ones(len(idx))
+            self._intra_segment(valiant, idx, g, a, mids, share)
+            self._intra_segment(valiant, idx, g, mids, b, share)
+
+        # ---- inter-group ---------------------------------------------- #
+        idx = np.flatnonzero(inter)
+        if not len(idx):
+            return
+        a, b, ga, gb, f = src[idx], dst[idx], sg[idx], dg[idx], fid[idx]
+        mult = topo.global_multiplicity
+        # With no third group the Valiant set degenerates to the minimal
+        # route (keeps tiny test topologies from looping).
+        direct = (minimal, valiant) if topo.groups <= 2 else (minimal,)
+        share = np.full(len(idx), 1.0 / self.global_channels)
+        for out in direct:
+            for t in range(self.global_channels):
+                chan = (f + t) % mult
+                self._global_hop(out, idx, a, b, ga, gb, chan, share)
+        if topo.groups <= 2:
+            return
+
+        # Valiant: two global hops through each sampled intermediate group.
+        k = self.valiant_samples
+        share = np.full(len(idx), 1.0 / k)
+        for s in range(k):
+            gi = self._sample_intermediate_group(ga, gb, s, rng)
+            chan = (f + s) % mult
+            # Leg 1 lands on the intermediate group's gateway from ``ga``.
+            gw_in = self._gateway(gi, ga, chan)
+            self._global_hop(valiant, idx, a, gw_in, ga, gi, chan, share)
+            # Leg 2: intermediate group -> destination group.
+            chan2 = (f + s + 1) % mult
+            self._global_hop(valiant, idx, gw_in, b, gi, gb, chan2, share)
+
+    def _global_hop(self, out, flow_idx, src, dst, sg, dg, chan, share) -> None:
+        """Add links for src -> (gateway) -> global -> (gateway) -> dst."""
+        gw_out = self._gateway(sg, dg, chan)
+        gw_in = self._gateway(dg, sg, chan)
+        self._intra_segment(out, flow_idx, sg, src, gw_out, share)
+        out.add(flow_idx, self._global_link(sg, dg, chan), share)
+        self._intra_segment(out, flow_idx, dg, gw_in, dst, share)
+
+    def _sample_intermediate_group(self, sg, dg, salt: int, rng) -> np.ndarray:
+        """Random intermediate group distinct from both endpoints."""
+        topo = self.topology
+        n = len(sg)
+        if rng is None:
+            raw = (sg * 31 + dg * 17 + salt * 101 + 13) % topo.groups
+        else:
+            raw = rng.integers(0, topo.groups, size=n)
+        # Shift away from the endpoint groups deterministically.
+        clash = (raw == sg) | (raw == dg)
+        while clash.any():
+            raw = np.where(clash, (raw + 1) % topo.groups, raw)
+            clash = (raw == sg) | (raw == dg)
+        return raw
+
     # ------------------------------------------------------------------ #
-    # Segment expansion helpers (all vectorised over flow subsets)
+    # Geometry, supplied by each topology's router (vectorised over flows)
     # ------------------------------------------------------------------ #
+
+    def _intra_segment(self, out, flow_idx, group, a, b, share) -> None:
+        """Add links of the minimal intra-group route a -> b (same group)."""
+        raise NotImplementedError
+
+    def _sample_intra_mid(self, src, dst, group, rng) -> np.ndarray:
+        """Intermediate router within the group (Valiant leg)."""
+        raise NotImplementedError
+
+    def _gateway(self, src_group, dst_group, chan) -> np.ndarray:
+        """Router in ``src_group`` owning the ``chan``-th global link to
+        ``dst_group``."""
+        raise NotImplementedError
+
+    def _global_link(self, src_group, dst_group, chan) -> np.ndarray:
+        """Id of the ``chan``-th global link from src_group to dst_group."""
+        raise NotImplementedError
+
+
+class AdaptiveRouter(GroupRouter):
+    """Minimal + Valiant expansion over the dragonfly's green/black/blue
+    links."""
+
+    # Defined in the class body (not only inherited) so that per-class
+    # patching through ``vars(AdaptiveRouter)`` finds it.
+    route = GroupRouter.route
 
     def _intra_segment(
         self,
@@ -332,25 +363,6 @@ class AdaptiveRouter:
             out.add(fi, topo.black_link(g, pa[m], ra[m], rb[m]), sh)
             out.add(fi, topo.green_link(g, rb[m], pa[m], pb[m]), sh)
 
-    def _global_hop(
-        self,
-        out: _IncidenceBuilder,
-        flow_idx: np.ndarray,
-        src: np.ndarray,
-        dst: np.ndarray,
-        sg: np.ndarray,
-        dg: np.ndarray,
-        chan: np.ndarray,
-        share: np.ndarray,
-    ) -> None:
-        """Add links for src -> (gateway) -> blue -> (gateway) -> dst."""
-        topo = self.topology
-        gw_out = topo.blue_gateway(sg, dg, chan)
-        gw_in = topo.blue_gateway(dg, sg, chan)
-        self._intra_segment(out, flow_idx, sg, src, gw_out, share)
-        out.add(flow_idx, topo.blue_link(sg, dg, chan), share)
-        self._intra_segment(out, flow_idx, dg, gw_in, dst, share)
-
     def _sample_intra_mid(
         self,
         src: np.ndarray,
@@ -369,23 +381,8 @@ class AdaptiveRouter:
             (src % topo.routers_per_group + offs) % topo.routers_per_group
         )
 
-    def _sample_intermediate_group(
-        self,
-        sg: np.ndarray,
-        dg: np.ndarray,
-        salt: int,
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
-        """Random intermediate group distinct from both endpoints."""
-        topo = self.topology
-        n = len(sg)
-        if rng is None:
-            raw = (sg * 31 + dg * 17 + salt * 101 + 13) % topo.groups
-        else:
-            raw = rng.integers(0, topo.groups, size=n)
-        # Shift away from the endpoint groups deterministically.
-        clash = (raw == sg) | (raw == dg)
-        while clash.any():
-            raw = np.where(clash, (raw + 1) % topo.groups, raw)
-            clash = (raw == sg) | (raw == dg)
-        return raw
+    def _gateway(self, src_group, dst_group, chan) -> np.ndarray:
+        return self.topology.blue_gateway(src_group, dst_group, chan)
+
+    def _global_link(self, src_group, dst_group, chan) -> np.ndarray:
+        return self.topology.blue_link(src_group, dst_group, chan)

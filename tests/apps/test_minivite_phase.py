@@ -5,8 +5,8 @@ default ``(KERNEL_VERTICES, KERNEL_PARTITIONS)`` configuration so cold
 campaign generation never pays the ~0.4 s kernel run per process.  The
 artifact must stay bit-identical to what the kernel computes; when this
 test fails after an intentional kernel change, bump
-``_KERNEL_CACHE_VERSION`` and regenerate the ``.npz`` with the same
-``np.savez_compressed`` field layout (see ``_cached_phase``).
+``_KERNEL_CACHE_VERSION`` and regenerate the ``.npz`` with
+``np.savez_compressed`` and the fields ``_load_phase`` reads.
 """
 
 from __future__ import annotations

@@ -6,23 +6,29 @@ import numpy as np
 import pytest
 
 from repro.campaign.runner import CampaignConfig
-from repro.campaign.validate import validate_axis
-from repro.network.engine import CongestionEngine, RoutingPolicy
+from repro.network.engine import CongestionEngine
 from repro.topology.dragonfly import DragonflyTopology
-from repro.topology.registry import DEFAULT_CELL
+from repro.topology.registry import DEFAULT_CELL, canonical_routing, canonical_topology
 from repro.topology.routing import AdaptiveRouter
 
 
 def test_validate_axis_canonicalises():
-    assert validate_axis("df", "adaptive") == ("dragonfly", "ugal")
-    assert validate_axis("dfplus", "val") == ("df+", "valiant")
+    """The campaign CLI's --topology/--routing resolve through the registry."""
+    assert (canonical_topology("df"), canonical_routing("adaptive")) == DEFAULT_CELL
+    assert (canonical_topology("dfplus"), canonical_routing("val")) == (
+        "df+",
+        "valiant",
+    )
 
 
 def test_validate_axis_rejects_unknown_with_options():
     with pytest.raises(ValueError, match="registered topologies"):
-        validate_axis("torus", "ugal")
+        canonical_topology("torus")
     with pytest.raises(ValueError, match="registered policies"):
-        validate_axis("dragonfly", "ecmp")
+        canonical_routing("ecmp")
+    # The engine takes the same vocabulary and raises the same error.
+    with pytest.raises(ValueError, match="registered policies: .*valiant"):
+        CongestionEngine(DragonflyTopology(2, 2, 2), policy="ecmp")
 
 
 def test_config_canonicalises_cell():
@@ -59,8 +65,7 @@ def test_non_default_cells_fingerprint_distinct():
 def test_engine_default_matches_legacy(tiny_topo):
     """Registry-driven construction reproduces the pre-axis engine."""
     eng = CongestionEngine(tiny_topo)
-    assert eng.policy is RoutingPolicy.ADAPTIVE
-    assert eng.policy_name == "ugal"
+    assert eng.policy == "ugal"
     assert not eng.pinned
     assert isinstance(eng.router, AdaptiveRouter)
     legacy = CongestionEngine(tiny_topo, router=AdaptiveRouter(tiny_topo))
@@ -70,11 +75,10 @@ def test_engine_default_matches_legacy(tiny_topo):
 
 
 def test_engine_accepts_enum_and_name(tiny_topo):
-    by_enum = CongestionEngine(tiny_topo, policy=RoutingPolicy.MINIMAL)
     by_name = CongestionEngine(tiny_topo, policy="minimal")
     by_alias = CongestionEngine(tiny_topo, policy="min")
-    for eng in (by_enum, by_name, by_alias):
-        assert eng.policy is RoutingPolicy.MINIMAL
+    for eng in (by_name, by_alias):
+        assert eng.policy == "minimal"
         assert eng.pinned and eng.alpha0 == 1.0 and eng.ugal_gain == 0.0
 
 
@@ -84,12 +88,12 @@ def test_runner_builds_cell_topology():
 
     runner = CampaignRunner(CampaignConfig.tiny(topology="df+", routing="valiant"))
     assert isinstance(runner.topology, DragonflyPlusTopology)
-    assert runner.engine.policy is RoutingPolicy.VALIANT
+    assert runner.engine.policy == "valiant"
     assert runner.engine.pinned and runner.engine.alpha0 == 0.0
 
     default = CampaignRunner(CampaignConfig.tiny())
     assert isinstance(default.topology, DragonflyTopology)
-    assert default.engine.policy is RoutingPolicy.ADAPTIVE
+    assert default.engine.policy == "ugal"
 
 
 def test_worker_env_rebuilds_cell():
@@ -99,7 +103,7 @@ def test_worker_env_rebuilds_cell():
 
     env = WorkerEnv(CampaignConfig.tiny(topology="df+", routing="minimal"))
     assert isinstance(env.topology, DragonflyPlusTopology)
-    assert env.engine.policy is RoutingPolicy.MINIMAL
+    assert env.engine.policy == "minimal"
     assert env.engine.pinned and env.engine.alpha0 == 1.0
 
 

@@ -27,11 +27,7 @@ def _streamed(counts, key="SYN-64", t=12):
         v.campaign_fingerprint = f"window{i:012d}fp00"
         views.append(v)
     combined = _combine_shards(
-        key,
-        views,
-        [v.campaign_fingerprint for v in views],
-        [0.0] * len(views),
-        "streamfp00000000",
+        key, views, [0.0] * len(views), "streamfp00000000"
     )
     # The monolithic twin: same runs, no shard views, no provenance.
     from repro.campaign.datasets import RunDataset
@@ -92,10 +88,12 @@ def test_real_stream_windows_byte_identical_per_cell(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     overrides = {}
     if cell is not None:
-        from repro.campaign.validate import validate_axis
+        from repro.topology.registry import canonical_routing, canonical_topology
 
-        topo, routing = validate_axis(*cell)
-        overrides = {"topology": topo, "routing": routing}
+        overrides = {
+            "topology": canonical_topology(cell[0]),
+            "routing": canonical_routing(cell[1]),
+        }
     base = CampaignConfig.tiny(**overrides)
     camp = run_stream(StreamConfig(base=base, windows=2, window_days=2.0))
     ds = camp["MILC-128"]

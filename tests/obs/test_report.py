@@ -101,21 +101,6 @@ def test_render_report_table_cache_and_failures(tmp_path):
     assert "  broken" in out  # tree indentation
 
 
-def test_merged_metrics_histograms_combine_min_max():
-    data = TraceData(
-        path=Path("x"),
-        metrics=[
-            {"values": {"h": {"count": 2, "total": 3.0, "min": 1.0, "max": 2.0}}},
-            {"values": {"h": {"count": 1, "total": 0.5, "min": 0.5, "max": 0.5}}},
-        ],
-    )
-    merged = data.merged_metrics()
-    assert merged["h"]["count"] == 3
-    assert merged["h"]["total"] == 3.5
-    assert merged["h"]["min"] == 0.5
-    assert merged["h"]["max"] == 2.0
-
-
 def test_latest_trace_picks_newest(tmp_path):
     assert latest_trace(tmp_path) is None
     old = tmp_path / "a.jsonl"
@@ -240,8 +225,39 @@ def test_critical_path_follows_dominant_chain(tmp_path):
     assert [st["name"] for st in cp["chain"]] == ["a", "b", "c"]
     assert abs(cp["chain_wall"] - 8.0) < 1e-9
     assert cp["root_wall"] == 10.0
+    assert cp["root_span"] == "graph.run"
     # The cheap hit is not on the path even though b depends on it.
     assert all(st["name"] != "warm" for st in cp["chain"])
+
+
+def test_critical_path_shares_the_enclosing_experiment_wall(tmp_path):
+    """A cold run executes ``campaign`` at graph-build time, outside
+    ``graph.run``: the chain is a share of the experiment span's wall."""
+    from repro.obs.report import critical_paths, render_critical_path
+
+    data = _dag_trace(tmp_path)
+    run = data.spans[0]
+    run.update(parent="1.0", ts=9.0, dur=8.5)
+    data.spans += [
+        _span("experiment.fig03", "1.0", None, 0.0, 18.0),
+        dict(
+            _span("graph.stage", "1.5", "1.0", 0.0, 9.0),
+            attrs={"stage": "campaign"},
+        ),
+    ]
+    plan = data.events[0]["attrs"]["stages"]
+    plan.insert(0, {"name": "campaign", "status": "miss", "inputs": []})
+    plan[2]["inputs"] = ["campaign"]  # a <- campaign
+
+    (cp,) = critical_paths(data)
+    assert [st["name"] for st in cp["chain"]] == ["campaign", "a", "b", "c"]
+    assert abs(cp["chain_wall"] - 17.0) < 1e-9
+    assert cp["root_wall"] == 18.0
+    assert cp["root_span"] == "experiment.fig03"
+    assert cp["chain_wall"] <= cp["root_wall"]
+    assert "experiment.fig03 wall 18.000s (94% on the chain)" in (
+        render_critical_path(data)
+    )
 
 
 def test_critical_path_render_names_cell(tmp_path):

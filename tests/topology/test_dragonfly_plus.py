@@ -160,6 +160,7 @@ def test_leaf_fast_path_matches_general_expansion(plus_topo, monkeypatch):
     """Leaf-only routing (the fast path) emits the exact same incidence
     triplets, in the same order, as the general per-case expansion."""
     from repro.topology.dragonfly_plus import DragonflyPlusRouter
+    from repro.topology.routing import GroupRouter
 
     router = plus_topo.default_router()
     rng = np.random.default_rng(7)
@@ -168,26 +169,7 @@ def test_leaf_fast_path_matches_general_expansion(plus_topo, monkeypatch):
     dst = rng.choice(leaves, size=300)
     fast = router.route(src, dst, rng=np.random.default_rng(99))
 
-    def general_only(
-        self,
-        minimal,
-        valiant,
-        sg,
-        dg,
-        ls,
-        ld,
-        src,
-        dst,
-        same_group,
-        inter,
-        rng,
-        fid,
-    ):
-        self._route_general(
-            minimal, valiant, sg, dg, src, dst, same_group, inter, rng, fid
-        )
-
-    monkeypatch.setattr(DragonflyPlusRouter, "_route_all_leaf", general_only)
+    monkeypatch.setattr(DragonflyPlusRouter, "_expand", GroupRouter._expand)
     general = router.route(src, dst, rng=np.random.default_rng(99))
     for name in ("minimal", "valiant"):
         fi, gi = getattr(fast, name), getattr(general, name)

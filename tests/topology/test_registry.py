@@ -16,9 +16,7 @@ from repro.topology.registry import (
     build_topology,
     canonical_routing,
     canonical_topology,
-    cell_id,
     parse_cell,
-    resolve_cell,
     routing_spec,
 )
 
@@ -101,12 +99,11 @@ def test_cells():
         "dragonfly",
         "ugal",
     )
-    assert resolve_cell("df", "adaptive") == DEFAULT_CELL
-    assert resolve_cell("aries", "ugal") == DEFAULT_CELL
-    assert resolve_cell("df+", "ugal") != DEFAULT_CELL
+    assert parse_cell("df/adaptive") == DEFAULT_CELL
+    assert parse_cell("aries/ugal") == DEFAULT_CELL
+    assert parse_cell("df+/ugal") != DEFAULT_CELL
     assert parse_cell("df+/valiant") == ("df+", "valiant")
     assert parse_cell("dfplus/val") == ("df+", "valiant")
-    assert cell_id("df+", "valiant") == "df+/valiant"
 
 
 @pytest.mark.parametrize("text", ["df+", "df+/valiant/x", "/valiant", "df+/"])
