@@ -13,32 +13,10 @@ import sys
 
 from repro.campaign.inspect import render_summary, summarize_campaign
 from repro.campaign.runner import CampaignConfig, run_campaign
-from repro.config import apply_workers_flag
-from repro.experiments.context import resolve_fast
-from repro.obs import configure_logging, ensure_run, get_logger
+from repro.experiments.context import resolve_knobs
+from repro.obs import get_logger
 
 _LOG = get_logger("campaign")
-
-
-def _resolve_knobs(parser: argparse.ArgumentParser, args, *readers) -> bool:
-    """Read every ``REPRO_*`` value knob the run uses, before any work.
-
-    A bad value ends the CLI as a usage error (exit 2) naming the knob,
-    not as a traceback from the middle of a run.  ``--workers N`` is
-    applied to the whole invocation here.  Returns the resolved fast
-    flag (``--fast`` or ``REPRO_FAST``, :func:`resolve_fast`), the one
-    scale the whole invocation uses.
-    """
-    try:
-        configure_logging()
-        apply_workers_flag(args.workers)
-        fast = resolve_fast(args.fast)
-        for read in readers:
-            read()
-        ensure_run()
-    except ValueError as exc:
-        parser.error(str(exc))
-    return fast
 
 
 def _resolve_axis(parser: argparse.ArgumentParser, args) -> dict:
@@ -142,7 +120,7 @@ def stream_main(argv: list[str]) -> int:
         from repro.graph.store import artifact_cache_enabled
 
         readers = (artifact_cache_enabled,)
-    fast = _resolve_knobs(parser, args, *readers)
+    fast = resolve_knobs(parser, args, *readers)
     axis = _resolve_axis(parser, args)
     cfg = CampaignConfig.tiny(**axis) if fast else CampaignConfig.small(**axis)
 
@@ -225,7 +203,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     _axis_arguments(parser)
     args = parser.parse_args(argv)
-    fast = _resolve_knobs(parser, args)
+    fast = resolve_knobs(parser, args)
     axis = _resolve_axis(parser, args)
     cfg = CampaignConfig.tiny(**axis) if fast else CampaignConfig.small(**axis)
     if args.regenerate:

@@ -858,7 +858,7 @@ class CampaignRunner:
 
     # ------------------------------------------------------------------ #
 
-    def run(self, progress: bool = False) -> Campaign:
+    def run(self) -> Campaign:
         cfg = self.config
         fingerprint = cfg.fingerprint()
         with span("campaign.run", fingerprint=fingerprint) as sp:
@@ -866,7 +866,7 @@ class CampaignRunner:
             cached = campaign is not None
             if campaign is None:
                 METRICS.counter("campaign.cache.misses").inc()
-                campaign = self._generate(progress=progress)
+                campaign = self._generate()
                 if cfg.use_cache:
                     with span("campaign.save", fingerprint=fingerprint):
                         campaign.save(fingerprint)
@@ -930,7 +930,7 @@ class CampaignRunner:
             plans[(key, t)] = _ProbePlan(key=key, long_steps=steps)
         return requests, plans
 
-    def _generate(self, progress: bool = False) -> Campaign:
+    def _generate(self) -> Campaign:
         cfg = self.config
         topo = self.topology
         horizon = cfg.days * DAY
@@ -997,7 +997,6 @@ class CampaignRunner:
                 step_models,
                 samples,
                 horizon,
-                progress,
             )
 
         # 4. Assemble datasets.
@@ -1056,7 +1055,6 @@ class CampaignRunner:
         step_models: list[StepModel],
         samples: list[tuple[float, int, int]],
         horizon: float,
-        progress: bool,
     ) -> dict[int, "object"]:
         """Solve every probe run; returns ``{probe idx: RunResult}``.
 
@@ -1268,4 +1266,4 @@ def run_campaign(
         from repro.obs.log import configure_logging
 
         configure_logging()
-    return CampaignRunner(config or CampaignConfig.small()).run(progress=progress)
+    return CampaignRunner(config or CampaignConfig.small()).run()

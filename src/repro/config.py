@@ -23,7 +23,7 @@ streams of existing consumers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,10 +106,6 @@ class ScalePreset:
     @property
     def num_nodes(self) -> int:
         return self.num_routers * self.nodes_per_router
-
-    def scaled(self, **changes: object) -> "ScalePreset":
-        """Return a copy of this preset with ``changes`` applied."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
 
 #: Unit-test scale: 6 groups x (4x3) routers x 2 nodes = 144 nodes.

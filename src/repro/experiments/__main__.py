@@ -14,17 +14,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.config import apply_workers_flag
 from repro.experiments import (
     EXPERIMENTS,
     PAPER_EXPERIMENTS,
     explain_experiments,
     run_experiments,
 )
-from repro.experiments.context import resolve_fast
+from repro.experiments.context import resolve_knobs
 from repro.experiments.export import ExportError, export_result
 from repro.graph.store import artifact_cache_enabled
-from repro.obs import configure_logging, ensure_run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -69,16 +67,7 @@ def main(argv: list[str] | None = None) -> int:
         help="also write JSON/CSV/TXT result files into DIR",
     )
     args = parser.parse_args(argv)
-    try:
-        # Every REPRO_* value knob the run reads, before any work: a bad
-        # one is a usage error naming it, not a traceback mid-run.
-        configure_logging()
-        apply_workers_flag(args.workers)
-        resolve_fast(args.fast)
-        artifact_cache_enabled()
-        ensure_run()
-    except ValueError as exc:
-        parser.error(str(exc))
+    resolve_knobs(parser, args, artifact_cache_enabled)
     if args.experiment == "all":
         ids = sorted(PAPER_EXPERIMENTS)
     else:

@@ -22,7 +22,8 @@ from collections import OrderedDict
 
 from repro.campaign.datasets import Campaign
 from repro.campaign.runner import CampaignConfig, run_campaign
-from repro.obs import METRICS, env_flag, span
+from repro.config import apply_workers_flag
+from repro.obs import METRICS, configure_logging, ensure_run, env_flag, span
 
 _CACHE: "OrderedDict[str, Campaign]" = OrderedDict()
 #: Campaigns kept in process; the least recently used one goes first.
@@ -44,6 +45,29 @@ def resolve_fast(flag: bool | None = None) -> bool:
     """
     env = fast_requested()
     return bool(flag) or env
+
+
+def resolve_knobs(parser, args, *readers) -> bool:
+    """Read every ``REPRO_*`` value knob a CLI uses, before any work.
+
+    The one order for every CLI: logging level, ``--workers`` (applied
+    to the whole invocation), ``--fast`` / ``REPRO_FAST``
+    (:func:`resolve_fast`), the caller's extra ``readers``, then the
+    trace run.  A bad value ends the CLI as a usage error (exit 2)
+    naming the knob, not as a traceback from the middle of a run.
+    ``args`` needs ``workers`` and ``fast`` attributes.  Returns the
+    resolved fast flag, the one scale the whole invocation uses.
+    """
+    try:
+        configure_logging()
+        apply_workers_flag(args.workers)
+        fast = resolve_fast(args.fast)
+        for read in readers:
+            read()
+        ensure_run()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return fast
 
 
 def clear_cache() -> None:

@@ -83,10 +83,6 @@ class RoutedTraffic:
     flows: FlowSet
     routing: FlowRouting
 
-    def scaled(self, factor: float) -> "RoutedTraffic":
-        """Same geometry, volumes scaled (e.g. per-step intensity)."""
-        return RoutedTraffic(self.flows.scaled(factor), self.routing)
-
 
 @dataclass
 class BaseLoad:
@@ -105,22 +101,6 @@ class BaseLoad:
             inj=np.zeros(r),
             ej=np.zeros(r),
             vc4=np.zeros(r),
-        )
-
-    def __add__(self, other: "BaseLoad") -> "BaseLoad":
-        return BaseLoad(
-            self.link_loads + other.link_loads,
-            self.inj + other.inj,
-            self.ej + other.ej,
-            self.vc4 + other.vc4,
-        )
-
-    def scaled(self, factor: float) -> "BaseLoad":
-        return BaseLoad(
-            self.link_loads * factor,
-            self.inj * factor,
-            self.ej * factor,
-            self.vc4 * factor,
         )
 
 

@@ -63,10 +63,6 @@ class FlowSet:
         """Aggregate bytes/s over all flows."""
         return float(self.volume.sum())
 
-    def scaled(self, factor: float) -> "FlowSet":
-        """A copy with all volumes multiplied by ``factor``."""
-        return FlowSet(self.src, self.dst, self.volume * factor, self.response_ratio)
-
     def aggregated(self, num_routers: int) -> "FlowSet":
         """Merge duplicate (src, dst) pairs, summing volumes.
 

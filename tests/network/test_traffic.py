@@ -38,7 +38,7 @@ def test_flowset_aggregation_merges_duplicates():
     assert agg.volume[i] == pytest.approx(5.0)
 
 
-def test_flowset_concat_and_scale():
+def test_flowset_concat():
     a = FlowSet(np.array([0]), np.array([1]), np.array([4.0]), response_ratio=0.1)
     b = FlowSet(np.array([2]), np.array([3]), np.array([12.0]), response_ratio=0.3)
     c = FlowSet.concat([a, b])
@@ -46,7 +46,6 @@ def test_flowset_concat_and_scale():
     assert c.total_volume == pytest.approx(16.0)
     # Volume-weighted response ratio.
     assert c.response_ratio == pytest.approx((0.1 * 4 + 0.3 * 12) / 16)
-    assert c.scaled(0.5).total_volume == pytest.approx(8.0)
     assert FlowSet.concat([]).total_volume == 0.0
 
 

@@ -86,7 +86,7 @@ def test_env_flag_default_applies_only_when_unset(monkeypatch):
 SRC = ROOT / "src"
 
 #: (CLI, its arguments, bad environment, the knob the error must name).
-#: Both CLIs read REPRO_FAST; ``repro.campaign stream --drift`` also
+#: Every CLI reads REPRO_FAST; ``repro.campaign stream --drift`` also
 #: reads the artifact-store toggle.
 BAD_VALUES = [
     *(
@@ -122,6 +122,14 @@ BAD_VALUES = [
         {"REPRO_ARTIFACT_CACHE": "maybe"}, "REPRO_ARTIFACT_CACHE",
         id="repro.campaign-stream-REPRO_ARTIFACT_CACHE",
     ),
+    # The claims runner lives in benchmarks/ and shares the same check.
+    *(
+        pytest.param("benchmarks.claims", ["--fast"], env, knob, id=f"benchmarks.claims-{knob}")
+        for env, knob in [
+            ({"REPRO_FAST": "off"}, "REPRO_FAST"),
+            ({"REPRO_WORKERS": "two"}, "REPRO_WORKERS"),
+        ]
+    ),
 ]
 
 
@@ -132,6 +140,7 @@ def test_bad_knob_is_a_usage_error_before_any_work(tmp_path, cli, args, bad, kno
     env.update(bad, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(cache))
     out = subprocess.run(
         [sys.executable, "-m", cli, *args],
+        cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
