@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,6 +49,9 @@ from repro.telemetry.ariesncl import AriesNCL
 from repro.telemetry.mpip import profile_run
 from repro.topology.base import Topology
 from repro.topology.registry import build_topology
+
+if TYPE_CHECKING:
+    from repro.campaign.runner import SparseLoad
 
 __all__ = ["CampaignWorkerError", "WorkerEnv"]
 
@@ -231,22 +235,29 @@ def _get_context(spec_job_id: int, key: str, long_steps: int | None,
 
 def _task_probe_contributions(
     specs: list[ProbeSpec],
-) -> list[tuple[int, BaseLoad]]:
+) -> list[tuple[int, SparseLoad]]:
     """``(job_id, mean traffic contribution as seen by other jobs)`` per
     probe; each probe's context stays cached for its run's solve."""
-    out = []
+    from repro.campaign.runner import _flat_width, _sparse_rows
+
+    env = _require_env()
     with span("campaign.task.probe_contributions", n=len(specs)):
-        for spec in specs:
+        block = np.empty((len(specs), _flat_width(env.topology)))
+        for row, spec in zip(block, specs):
             ctx = _get_context(
                 spec.job_id, spec.key, spec.long_steps, spec.nodes, keep=True
             )
-            out.append((spec.job_id, ctx.mean_contribution()))
-    return out
+            mean = ctx.mean_contribution()
+            np.concatenate(
+                (mean.link_loads, mean.inj, mean.ej, mean.vc4), out=row
+            )
+        loads = _sparse_rows(block)
+    return [(spec.job_id, load) for spec, load in zip(specs, loads)]
 
 
 def _task_bg_contributions(
     specs: list[BgJobSpec],
-) -> list[tuple[int, BaseLoad, BaseLoad]]:
+) -> list[tuple[int, SparseLoad, SparseLoad]]:
     """(steady comm, filesystem) contributions per background job."""
     env = _require_env()
     with span("campaign.task.bg_contributions", n=len(specs)):

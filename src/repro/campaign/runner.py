@@ -14,8 +14,9 @@ The runner reproduces the paper's data collection (§III):
 Performance design (the campaign solves ~40k network states):
 
 * background link loads change only at job start/end events, so a single
-  chronological sweep maintains an additive :class:`BaseLoad` accumulator
-  (O(#links) per event);
+  chronological sweep maintains an additive :class:`BaseLoad` accumulator;
+  each job's contribution is kept as its nonzero entries only
+  (:class:`SparseLoad`), so an event costs O(links the job touches);
 * each probe run's routing geometry is built once; its steps are then
   solved in blocks — ``(steps, links)`` vector work plus per-flow
   ``maximum`` passes for the UGAL split — and its counters are
@@ -72,7 +73,7 @@ from repro.topology.registry import (
     canonical_routing,
     canonical_topology,
 )
-from repro.topology.routing import Incidence
+from repro.topology.routing import Incidence, LinkLoadSink
 
 #: Cori's KNL partition size; background job sizes scale relative to it.
 CORI_KNL_NODES = 9688
@@ -154,6 +155,26 @@ class CampaignConfig:
     routing: str = DEFAULT_CELL[1]
 
     def __post_init__(self) -> None:
+        # Reject what generation would fail on (or silently run empty)
+        # before a fingerprint of it exists.
+        if not self.days > 0:
+            raise ValueError(f"days must be positive, got {self.days!r}")
+        if not self.background_intensity >= 0:
+            raise ValueError(
+                "background_intensity must be non-negative, "
+                f"got {self.background_intensity!r}"
+            )
+        if not 0 < self.target_utilization < 1:
+            raise ValueError(
+                "target_utilization must be in (0, 1), "
+                f"got {self.target_utilization!r}"
+            )
+        lo, hi = self.probes_per_day
+        if not 0 <= lo <= hi or hi < 1:
+            raise ValueError(
+                "probes_per_day must be (lo, hi) with 0 <= lo <= hi and "
+                f"hi >= 1, got {self.probes_per_day!r}"
+            )
         # Canonicalise the cell so aliases ("df", "adaptive", ...) and the
         # canonical names fingerprint identically.
         object.__setattr__(self, "topology", canonical_topology(self.topology))
@@ -486,6 +507,55 @@ class ProbeRunContext:
 # --------------------------------------------------------------------------- #
 
 
+@dataclass(frozen=True)
+class SparseLoad:
+    """A job's :class:`BaseLoad` as its nonzero entries.
+
+    ``ix`` indexes the flat ``[link_loads | inj | ej | vc4]`` layout
+    (:func:`_flat_width` entries) in ascending order; ``v`` holds the
+    values there.  A job touches a few percent of the links, so this is
+    how the sweep stores every job's contribution.
+    """
+
+    ix: np.ndarray
+    v: np.ndarray
+
+
+#: The contribution of a job with no traffic of a kind (a probe's or an
+#: I/O-free job's filesystem load); shared, never written.
+_NO_LOAD = SparseLoad(np.empty(0, dtype=np.int64), np.empty(0))
+
+
+def _flat_width(topology: Topology) -> int:
+    """Entries of the flat ``[link_loads | inj | ej | vc4]`` layout."""
+    return topology.num_links + 3 * topology.num_routers
+
+
+def _dense_view(flat: np.ndarray, topology: Topology) -> BaseLoad:
+    """A :class:`BaseLoad` whose four arrays are views into ``flat``."""
+    nl, r = topology.num_links, topology.num_routers
+    return BaseLoad(
+        flat[:nl], flat[nl:nl + r], flat[nl + r:nl + 2 * r], flat[nl + 2 * r:]
+    )
+
+
+def _sparse_rows(block: np.ndarray) -> list[SparseLoad]:
+    """Each row of a ``(jobs, flat width)`` block as a :class:`SparseLoad`.
+
+    One boolean pass finds every nonzero of the block and cuts at the row
+    boundaries split it; each job owns copies of its entries, so dropping
+    one frees them.
+    """
+    n, width = block.shape
+    nz = np.flatnonzero(block != 0)
+    vals = block.reshape(-1)[nz]
+    cuts = np.searchsorted(nz, np.arange(n + 1) * width).tolist()
+    return [
+        SparseLoad(nz[a:b] - j * width, vals[a:b].copy())
+        for j, (a, b) in enumerate(zip(cuts[:-1], cuts[1:]))
+    ]
+
+
 #: Lognormal sigma of per-node injection skew within background jobs.
 #: Master ranks and I/O aggregators concentrate endpoint traffic, so the
 #: NIC pressure a probe sees at a *shared* router is a local lottery —
@@ -561,63 +631,62 @@ class BackgroundTrafficModel:
         # the bursty I/O weather.
         return FlowSet.concat(parts)
 
-    def _solve_static_batch(self, flow_sets: list[FlowSet]) -> list[BaseLoad]:
-        """Route and bin-sum many flow sets in one pass: one static
-        ``BaseLoad`` (at the engine's base UGAL split) per set.
+    def _solve_static_batch(self, flow_sets: list[FlowSet]) -> list[SparseLoad]:
+        """Route and bin-sum many flow sets in one pass: one static load
+        (at the engine's base UGAL split) per set.
 
         Each set's result is bit-identical to solving that set alone: the
         router's deterministic samplers key on ``(src, dst)`` and the
         per-set flow index (restored via ``flow_ids``), never on position
         within the call, so the concatenated routing emits each flow's
-        solo links.  Per-``(set, link)`` bincount keys then preserve each
-        set's accumulation order — entries for different sets land in
-        different bins, so every bin sums the exact solo sequence.
+        solo links.  The routing streams each path set into its own
+        per-``(set, link)`` accumulator (:class:`LinkLoadSink`): entries
+        of different sets land in different bins, so every bin sums the
+        exact solo sequence, and the minimal and Valiant sums are then
+        added as a solo ``FlowRouting.link_loads`` adds them.
         """
         topo = self.topology
         n_sets = len(flow_sets)
-        num_links = topo.num_links
+        nl = topo.num_links
         r = topo.num_routers
         sizes = np.array([len(fs) for fs in flow_sets], dtype=np.int64)
         if sizes.sum() == 0:
-            return [BaseLoad.zeros(topo) for _ in flow_sets]
+            return [_NO_LOAD] * n_sets
         src = np.concatenate([fs.src for fs in flow_sets])
         dst = np.concatenate([fs.dst for fs in flow_sets])
         vol = np.concatenate([fs.volume for fs in flow_sets])
         fid = np.concatenate([np.arange(s, dtype=np.int64) for s in sizes])
-        routing = self.engine.router.route(src, dst, rng=None, flow_ids=fid)
         set_of = np.repeat(np.arange(n_sets, dtype=np.int64), sizes)
         a0 = self.engine.alpha0
 
-        def loads2(inc, vols: np.ndarray) -> np.ndarray:
-            if not inc.nnz:
-                return np.zeros((n_sets, num_links))
-            return np.bincount(
-                set_of[inc.flow] * num_links + inc.link,
-                weights=vols[inc.flow] * inc.share,
-                minlength=n_sets * num_links,
-            ).reshape(n_sets, num_links)
-
-        link2 = loads2(routing.minimal, vol * a0)
-        link2 += loads2(routing.valiant, vol * (1.0 - a0))
-        inj2 = np.bincount(
+        # Rows in the flat [link_loads | inj | ej | vc4] layout; the
+        # minimal sink writes the link columns, the Valiant one its own
+        # block that is added in after.
+        block = np.zeros((n_sets, _flat_width(topo)))
+        val = np.zeros((n_sets, nl))
+        self.engine.router.route(
+            src, dst, rng=None, flow_ids=fid,
+            sinks=(
+                LinkLoadSink(block.reshape(-1), set_of, vol * a0, block.shape[1]),
+                LinkLoadSink(val.reshape(-1), set_of, vol * (1.0 - a0), nl),
+            ),
+        )
+        block[:, :nl] += val
+        del val
+        inj = block[:, nl:nl + r]
+        inj[:] = np.bincount(
             set_of * r + src, weights=vol, minlength=n_sets * r
         ).reshape(n_sets, r)
-        ej2 = np.bincount(
+        block[:, nl + r:nl + 2 * r] = np.bincount(
             set_of * r + dst, weights=vol, minlength=n_sets * r
         ).reshape(n_sets, r)
-        return [
-            BaseLoad(
-                link_loads=link2[j].copy(),
-                inj=inj2[j].copy(),
-                ej=ej2[j].copy(),
-                vc4=inj2[j] * fs.response_ratio,
-            )
-            for j, fs in enumerate(flow_sets)
-        ]
+        ratio = np.array([fs.response_ratio for fs in flow_sets])
+        np.multiply(inj, ratio[:, None], out=block[:, nl + 2 * r:])
+        return _sparse_rows(block)
 
     def contributions_for_batch(
         self, specs: list[tuple[int, str, np.ndarray]]
-    ) -> list[tuple[BaseLoad, BaseLoad]]:
+    ) -> list[tuple[SparseLoad, SparseLoad]]:
         """(steady communication, filesystem) contributions per
         ``(job_id, user, nodes)`` spec.
 
@@ -634,7 +703,7 @@ class BackgroundTrafficModel:
             for job_id, user, nodes in specs
         ]
         comm = self._solve_static_batch(comm_sets)
-        io: list[BaseLoad] = [BaseLoad.zeros(self.topology) for _ in specs]
+        io = [_NO_LOAD] * len(specs)
         io_idx: list[int] = []
         io_sets: list[FlowSet] = []
         for i, (_, user, nodes) in enumerate(specs):
@@ -721,19 +790,22 @@ class TrafficTimeline:
         events.sort()
         self._events = events
         self._ptr = 0
-        self._comm: BaseLoad | None = None
-        self._io: BaseLoad | None = None
+        # Flat [link_loads | inj | ej | vc4] accumulators.
+        self._comm: np.ndarray | None = None
+        self._io: np.ndarray | None = None
         self._jobs_by_id = {j.job_id: j for j in jobs}
 
     @staticmethod
-    def _iadd(acc: BaseLoad, c: BaseLoad, sign: float) -> None:
-        # ``acc += -c`` is bit-equal to ``acc -= c`` (and ``1.0 * c`` is
-        # ``c``), so no signed temporary is needed.
-        op = np.add if sign > 0 else np.subtract
-        op(acc.link_loads, c.link_loads, out=acc.link_loads)
-        op(acc.inj, c.inj, out=acc.inj)
-        op(acc.ej, c.ej, out=acc.ej)
-        op(acc.vc4, c.vc4, out=acc.vc4)
+    def _iadd(acc: np.ndarray, c: SparseLoad, sign: float) -> None:
+        # Equal to the dense fold ``acc ± c``: the entries a contribution
+        # leaves out are ``acc ± 0.0`` updates, exact unless ``acc`` holds
+        # -0.0, and no accumulator entry ever does (it starts at +0.0,
+        # stored values are nonzero, and an exact cancellation rounds to
+        # +0.0).
+        if sign > 0:
+            acc[c.ix] += c.v
+        else:
+            acc[c.ix] -= c.v
 
     def advance(self, t: float) -> bool:
         """Fold in all events up to ``t``; True if the background changed.
@@ -741,8 +813,9 @@ class TrafficTimeline:
         Must be called with non-decreasing ``t``.
         """
         if self._comm is None:
-            self._comm = BaseLoad.zeros(self._contrib.topology)
-            self._io = BaseLoad.zeros(self._contrib.topology)
+            width = _flat_width(self._contrib.topology)
+            self._comm = np.zeros(width)
+            self._io = np.zeros(width)
         changed = False
         while self._ptr < len(self._events) and self._events[self._ptr][0] <= t:
             _, delta, jid = self._events[self._ptr]
@@ -758,28 +831,20 @@ class TrafficTimeline:
 
     def snapshot(self) -> tuple[BaseLoad, BaseLoad]:
         """Copies of the (comm, io) accumulators for the current window."""
+        topo = self._contrib.topology
         return (
-            BaseLoad(
-                self._comm.link_loads.copy(),
-                self._comm.inj.copy(),
-                self._comm.ej.copy(),
-                self._comm.vc4.copy(),
-            ),
-            BaseLoad(
-                self._io.link_loads.copy(),
-                self._io.inj.copy(),
-                self._io.ej.copy(),
-                self._io.vc4.copy(),
-            ),
+            _dense_view(self._comm.copy(), topo),
+            _dense_view(self._io.copy(), topo),
         )
 
 
 class _ContributionStore:
-    """Per-job BaseLoads feeding the timeline, dropped at job end.
+    """Per-job :class:`SparseLoad` pairs feeding the timeline, dropped at
+    job end.
 
     Every job's contribution arrives through ``loader``, which may batch
     lookahead work across worker processes; it must insert the requested
-    job before returning.  Probes are registered with their mean traffic
+    job before returning.  Probes are inserted with their mean traffic
     (from their own flow geometry) like any other job, so overlapping
     probes see each other — the paper observed exactly this
     self-interference (§V-A: User-8 appears in its own aggressor lists).
@@ -788,21 +853,17 @@ class _ContributionStore:
     def __init__(self, topology: Topology, loader) -> None:
         self.topology = topology
         self._loader = loader
-        self._cache: dict[int, tuple[BaseLoad, BaseLoad]] = {}
-        # Probes generate negligible filesystem traffic (§III-A); one
-        # shared zero BaseLoad serves them all (it is only ever read).
-        self._zero_io = BaseLoad.zeros(topology)
+        self._cache: dict[int, tuple[SparseLoad, SparseLoad]] = {}
 
-    def register_probe(self, job_id: int, comm: BaseLoad) -> None:
-        self._cache[job_id] = (comm, self._zero_io)
-
-    def insert(self, job_id: int, comm: BaseLoad, io: BaseLoad) -> None:
+    def insert(
+        self, job_id: int, comm: SparseLoad, io: SparseLoad = _NO_LOAD
+    ) -> None:
         self._cache[job_id] = (comm, io)
 
     def has(self, job_id: int) -> bool:
         return job_id in self._cache
 
-    def get(self, job: JobRecord) -> tuple[BaseLoad, BaseLoad]:
+    def get(self, job: JobRecord) -> tuple[SparseLoad, SparseLoad]:
         c = self._cache.get(job.job_id)
         if c is None:
             self._loader(job)
@@ -1122,8 +1183,9 @@ class CampaignRunner:
                 for chunk in chunked(bg_specs, workers)
             ]
             for f in probe_futs:
+                # Probes generate negligible filesystem traffic (§III-A).
                 for job_id, comm in pool.result(f):
-                    store.register_probe(job_id, comm)
+                    store.insert(job_id, comm)
             for f in bg_futs:
                 for job_id, comm, io in pool.result(f):
                     store.insert(job_id, comm, io)

@@ -5,7 +5,11 @@ The report aggregates spans by name:
 * **cum** — total wall time spent inside spans of that name;
 * **self** — cum minus the time covered by *direct* child spans (clamped
   at zero: parallel children legitimately overlap their parent);
-* **calls** — span count.
+* **calls** — span count;
+* **self rss+** — how far the span raised its process's RSS high-water
+  (``prof.maxrss_growth_kb``) minus what its direct children in the same
+  process raised it by: the spans that set a process's peak are the
+  ones with a large value here.
 
 plus the run manifest header, annotations, events, and a cache hit-rate
 summary computed from every process's final metrics records.
@@ -82,15 +86,32 @@ class SpanAggregate:
     calls: int
     cum: float
     self_time: float
+    #: RSS high-water growth (kB) not attributed to a same-process child.
+    self_growth_kb: int = 0
+
+
+def _growth_kb(rec: dict) -> int:
+    return int(rec.get("prof", {}).get("maxrss_growth_kb", 0))
 
 
 def aggregate_spans(spans: list[dict]) -> list[SpanAggregate]:
-    """Per-name call counts with cumulative and self times, self-sorted."""
+    """Per-name call counts with cumulative and self times and self RSS
+    growth, self-time-sorted.
+
+    A child's growth counts against its parent only when both ran in
+    one process: a worker's high-water is its own.
+    """
+    pid_of = {rec["id"]: rec.get("pid") for rec in spans}
     child_time: dict[str, float] = {}
+    child_growth: dict[str, int] = {}
     for rec in spans:
         parent = rec.get("parent")
         if parent is not None:
             child_time[parent] = child_time.get(parent, 0.0) + rec["dur"]
+            if pid_of.get(parent) == rec.get("pid"):
+                child_growth[parent] = (
+                    child_growth.get(parent, 0) + _growth_kb(rec)
+                )
     agg: dict[str, SpanAggregate] = {}
     for rec in spans:
         a = agg.get(rec["name"])
@@ -99,6 +120,9 @@ def aggregate_spans(spans: list[dict]) -> list[SpanAggregate]:
         a.calls += 1
         a.cum += rec["dur"]
         a.self_time += max(rec["dur"] - child_time.get(rec["id"], 0.0), 0.0)
+        a.self_growth_kb += max(
+            _growth_kb(rec) - child_growth.get(rec["id"], 0), 0
+        )
     return sorted(agg.values(), key=lambda a: -a.self_time)
 
 
@@ -353,6 +377,7 @@ def report_json(data: TraceData) -> dict:
                 "calls": a.calls,
                 "cum_s": round(a.cum, 6),
                 "self_s": round(a.self_time, 6),
+                "self_growth_kb": a.self_growth_kb,
             }
             for a in aggs
         ],
@@ -396,13 +421,14 @@ def render_report(data: TraceData, tree: bool = False) -> str:
         name_w = max(name_w, len("span"))
         lines.append(
             f"{'span':<{name_w}}  {'calls':>6}  {'cum s':>9}  "
-            f"{'self s':>9}  {'self %':>6}"
+            f"{'self s':>9}  {'self %':>6}  {'self rss+ kB':>12}"
         )
-        lines.append("-" * (name_w + 37))
+        lines.append("-" * (name_w + 51))
         for a in aggs:
             lines.append(
                 f"{a.name:<{name_w}}  {a.calls:>6}  {a.cum:>9.3f}  "
                 f"{a.self_time:>9.3f}  {100.0 * a.self_time / total:>5.1f}%"
+                f"  {a.self_growth_kb:>12}"
             )
     else:
         lines.append("(no spans recorded)")

@@ -14,14 +14,17 @@ submitting span so cross-process trees assemble correctly.
 
 Every recorded span carries its resource sample as a ``prof`` field:
 the process's CPU user/sys and GC-collection deltas over the span, the
-deltas of the cache counters that moved, and ``maxrss_kb`` — no delta,
-but the process's ``ru_maxrss`` high-water at span exit:
+deltas of the cache counters that moved, ``maxrss_kb`` — no delta, but
+the process's ``ru_maxrss`` high-water at span exit — and
+``maxrss_growth_kb``, how far the span raised that high-water (0 when
+the process had been larger before):
 
 .. code-block:: json
 
     {"t": "span", "name": "graph.stage", "dur": 1.83,
      "prof": {"cpu_user": 1.74, "cpu_sys": 0.06, "maxrss_kb": 412304,
-              "gc_collections": 3, "cache": {"features.cache.misses": 2}}}
+              "maxrss_growth_kb": 20480, "gc_collections": 3,
+              "cache": {"features.cache.misses": 2}}}
 
 The sample reads clocks and OS counters only and travels out-of-band in
 the trace sink, never into results.  With tracing disabled the whole
@@ -122,6 +125,7 @@ def _delta(before: tuple) -> dict:
         "cpu_user": round(after[0] - before[0], 6),
         "cpu_sys": round(after[1] - before[1], 6),
         "maxrss_kb": int(after[2]),
+        "maxrss_growth_kb": int(after[2] - before[2]),
         "gc_collections": after[3] - before[3],
     }
     cache = {

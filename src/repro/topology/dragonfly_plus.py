@@ -384,7 +384,8 @@ class DragonflyPlusRouter(GroupRouter):
         Emits bit-identical triplets to the general
         :meth:`~repro.topology.routing.GroupRouter._expand` (same link ids,
         same shares, same entry order — entry order matters because
-        ``Incidence.link_loads`` accumulates per-bin sums in entry order).
+        ``Incidence.link_loads`` and ``LinkLoadSink`` accumulate per-bin
+        sums in entry order).
         Each general-path segment resolves to one fixed case here:
 
         * minimal intra       -> leaf-leaf ECMP bounce;

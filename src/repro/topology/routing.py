@@ -17,7 +17,9 @@ topology's canonical link ids, so routing ``n`` flows costs a handful of
 NumPy operations regardless of ``n``.  :class:`GroupRouter` holds the
 expansion; :class:`AdaptiveRouter` (the dragonfly) and
 :class:`~repro.topology.dragonfly_plus.DragonflyPlusRouter` supply only
-their geometry.
+their geometry.  The expansion writes its entries into a sink: an
+incidence builder by default, or a :class:`LinkLoadSink` that folds them
+straight into per-set link loads when only the loads are wanted.
 """
 
 from __future__ import annotations
@@ -55,6 +57,84 @@ class _IncidenceBuilder:
         )
 
 
+#: Incidence entries a :class:`LinkLoadSink` buffers before it scatters
+#: them into its accumulator: its five buffers take 2.5 MB whatever the
+#: size of the flow sets being routed.
+_SINK_ENTRIES = 1 << 16
+
+
+class LinkLoadSink:
+    """Folds ``(flow, link, share)`` entries straight into per-set link loads.
+
+    An expansion sink like :class:`_IncidenceBuilder`, for callers that
+    want only the loads: entry ``(flow, link, share)`` adds
+    ``vols[flow] * share`` at ``acc[set_of[flow] * stride + link]``.
+    Entries are copied in arrival order into fixed buffers of
+    :data:`_SINK_ENTRIES` and scattered with ``np.add.at`` each time the
+    buffers fill, and by :meth:`flush`.  The buffers are reused, so a
+    batch of any size allocates no per-flush temporaries: freed ones
+    were trimmed from the heap and faulted in again at the next flush.
+
+    ``np.add.at`` and ``np.bincount`` both add a bin's entries one at a
+    time in entry order, so a zeroed accumulator ends byte-equal to
+    :meth:`Incidence.link_loads` of each set's incidence.
+    """
+
+    def __init__(
+        self, acc: np.ndarray, set_of: np.ndarray, vols: np.ndarray, stride: int
+    ) -> None:
+        """
+        Parameters
+        ----------
+        acc:
+            Flat float64 accumulator, written in place.
+        set_of:
+            Set index of each routed flow.
+        vols:
+            Volume of each routed flow.
+        stride:
+            Accumulator entries per set (at least the number of links).
+        """
+        self.acc = acc
+        self.set_of = set_of
+        self.vols = vols
+        self.stride = stride
+        self._flows = np.empty(_SINK_ENTRIES, dtype=np.int64)
+        self._links = np.empty(_SINK_ENTRIES, dtype=np.int64)
+        self._shares = np.empty(_SINK_ENTRIES, dtype=np.float64)
+        self._key = np.empty(_SINK_ENTRIES, dtype=np.int64)
+        self._weight = np.empty(_SINK_ENTRIES, dtype=np.float64)
+        self._waiting = 0
+
+    def add(self, flows: np.ndarray, links: np.ndarray, shares: np.ndarray) -> None:
+        # Buffer assignment casts like ``np.asarray(x, dtype=...)``.
+        done, n = 0, len(flows)
+        while done < n:
+            at = self._waiting
+            take = min(n - done, _SINK_ENTRIES - at)
+            self._flows[at:at + take] = flows[done:done + take]
+            self._links[at:at + take] = links[done:done + take]
+            self._shares[at:at + take] = shares[done:done + take]
+            self._waiting += take
+            done += take
+            if self._waiting == _SINK_ENTRIES:
+                self.flush()
+
+    def flush(self) -> None:
+        """Scatter every buffered entry into the accumulator, in order."""
+        n = self._waiting
+        if not n:
+            return
+        flows = self._flows[:n]
+        key = np.take(self.set_of, flows, out=self._key[:n])
+        key *= self.stride
+        key += self._links[:n]
+        weight = np.take(self.vols, flows, out=self._weight[:n])
+        weight *= self._shares[:n]
+        np.add.at(self.acc, key, weight)
+        self._waiting = 0
+
+
 @dataclass
 class Incidence:
     """Sparse flow -> link incidence: ``share`` of the flow's volume crosses
@@ -72,8 +152,10 @@ class Incidence:
         """Scatter-add flow volumes (bytes/s) into per-link loads.
 
         ``bincount`` and ``np.add.at`` both accumulate the weights in
-        entry order (identical per-bin FP sums); ``bincount`` is an
-        order of magnitude faster on this workload.
+        entry order, so their per-bin sums are byte-equal (the
+        :class:`LinkLoadSink` relies on it).  Since NumPy 1.25 they also
+        cost about the same: 4.1 and 3.5 ms for 1M entries into 436,800
+        bins (NumPy 2.4, 2-vCPU VM).
         """
         if not self.nnz:
             return np.zeros(num_links, dtype=np.float64)
@@ -164,7 +246,8 @@ class GroupRouter:
         dst_router: np.ndarray,
         rng: np.random.Generator | None = None,
         flow_ids: np.ndarray | None = None,
-    ) -> FlowRouting:
+        sinks: tuple[LinkLoadSink, LinkLoadSink] | None = None,
+    ) -> FlowRouting | None:
         """Route flows from ``src_router[i]`` to ``dst_router[i]``.
 
         Returns a :class:`FlowRouting` with both path sets.  ``rng`` only
@@ -175,6 +258,11 @@ class GroupRouter:
         routing several concatenated flow sets in one call passes each
         set's own 0-based indices so every flow gets the exact links a
         solo call would pick.
+
+        ``sinks``, a ``(minimal, valiant)`` pair of :class:`LinkLoadSink`,
+        streams each path set's entries into link loads instead: no
+        incidence is built, both sinks are flushed, and the call returns
+        None.
         """
         src = np.asarray(src_router, dtype=np.int64)
         dst = np.asarray(dst_router, dtype=np.int64)
@@ -194,9 +282,15 @@ class GroupRouter:
         same_group = (sg == dg) & ~local_mask
         inter = ~same_group & ~local_mask
 
-        minimal = _IncidenceBuilder()
-        valiant = _IncidenceBuilder()
+        if sinks is not None:
+            minimal, valiant = sinks
+        else:
+            minimal, valiant = _IncidenceBuilder(), _IncidenceBuilder()
         self._expand(minimal, valiant, src, dst, sg, dg, same_group, inter, rng, fid)
+        if sinks is not None:
+            minimal.flush()
+            valiant.flush()
+            return None
 
         mf, ml, ms = minimal.build()
         vf, vl, vs = valiant.build()
@@ -212,10 +306,11 @@ class GroupRouter:
     ) -> None:
         """Add every flow's minimal and Valiant links, in a fixed order.
 
-        Each builder receives its intra-group entries before its
+        Each sink receives its intra-group entries before its
         inter-group ones, and ``rng`` is drawn for the intra-group mids
         before the intermediate groups.  Entry order matters because
-        ``Incidence.link_loads`` accumulates per-bin sums in entry order.
+        ``Incidence.link_loads`` and :class:`LinkLoadSink` accumulate
+        per-bin sums in entry order.
         """
         topo = self.topology
 
@@ -316,7 +411,7 @@ class AdaptiveRouter(GroupRouter):
 
     def _intra_segment(
         self,
-        out: _IncidenceBuilder,
+        out: _IncidenceBuilder | LinkLoadSink,
         flow_idx: np.ndarray,
         group: np.ndarray,
         a: np.ndarray,

@@ -192,6 +192,33 @@ def test_fingerprint_sensitivity():
     assert len({a.fingerprint(), b.fingerprint(), c.fingerprint()}) == 3
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("days", 0.0),
+        ("days", -1.0),
+        ("days", float("nan")),
+        ("background_intensity", -0.5),
+        ("target_utilization", 0.0),
+        ("target_utilization", 1.0),
+        ("target_utilization", 1.5),
+        ("probes_per_day", (2, 1)),
+        ("probes_per_day", (0, 0)),
+        ("probes_per_day", (-1, 1)),
+    ],
+)
+def test_bad_config_rejected_at_construction(field, value):
+    """Each bad value fails when the config is built, naming the field,
+    not deep in generation after its fingerprint already exists."""
+    with pytest.raises(ValueError, match=field):
+        CampaignConfig.tiny(**{field: value})
+
+
+def test_edge_configs_accepted():
+    CampaignConfig.tiny(days=0.5, background_intensity=0.0)
+    CampaignConfig.tiny(probes_per_day=(0, 1), target_utilization=0.99)
+
+
 def test_variability_emerges(tiny_campaign):
     """Run-to-run variability exists and differs from pure noise: the
     worst run is measurably slower than the best."""

@@ -24,6 +24,25 @@ def test_span_attaches_resource_deltas(trace_file):
     assert prof["cpu_user"] >= 0.0
 
 
+def test_span_records_its_rss_high_water_growth(trace_file, monkeypatch):
+    """``maxrss_growth_kb`` is the high-water at exit minus at entry."""
+    from repro.obs import spans
+
+    readings = iter([1000, 1000, 5000, 5000])
+    monkeypatch.setattr(spans, "_maxrss_kb", lambda: next(readings))
+    with span("outer"):
+        with span("inner"):
+            pass
+    trace.end_run()
+    recs = {
+        r["name"]: r["prof"]
+        for r in read_records(trace_file) if r.get("t") == "span"
+    }
+    assert recs["inner"]["maxrss_growth_kb"] == 4000
+    assert recs["inner"]["maxrss_kb"] == 5000
+    assert recs["outer"]["maxrss_growth_kb"] == 4000
+
+
 def test_span_reports_cache_deltas(trace_file):
     with span("graph.stage", stage="cachy"):
         METRICS.counter("features.cache.misses").inc(2)

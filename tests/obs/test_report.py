@@ -48,6 +48,29 @@ def test_aggregate_clamps_overlapping_parallel_children():
     assert by_name["pool"].self_time == 0.0
 
 
+def test_self_rss_growth_subtracts_same_process_children():
+    """A parent's self growth leaves out what its in-process children
+    raised the high-water by; a worker child's growth is its own."""
+
+    def grown(rec, kb, pid=1):
+        return rec | {"pid": pid, "prof": {"maxrss_growth_kb": kb}}
+
+    spans = [
+        grown(_span("child", "1.2", "1.1", 0.1, 0.3), 3000),
+        grown(_span("child", "1.3", "1.1", 0.5, 0.2), 1000),
+        grown(_span("task", "2.1", "1.1", 0.0, 0.9), 9000, pid=2),
+        grown(_span("root", "1.1", None, 0.0, 1.0), 5000),
+    ]
+    by_name = {a.name: a for a in aggregate_spans(spans)}
+    assert by_name["root"].self_growth_kb == 1000
+    assert by_name["child"].self_growth_kb == 4000
+    assert by_name["task"].self_growth_kb == 9000
+    out = render_report(TraceData(path=Path("x.jsonl"), spans=spans))
+    assert "self rss+ kB" in out
+    root_line = next(ln for ln in out.splitlines() if ln.startswith("root "))
+    assert root_line.split()[-1] == "1000"
+
+
 def test_span_tree_depths_and_orphans():
     spans = [
         _span("root", "1.1", None, 0.0, 1.0),
